@@ -6,8 +6,8 @@ profiling regressions (the guides' "no optimization without measuring").
 
 The scaling ladder at the end races the threaded runtime against the
 process runtime across 1/2/4(/8)-worker data-parallel tracker schedules,
-and the round-trip test measures the broker messages per frame saved by
-operation coalescing; both emit into the ``BENCH_substrates.json``
+and the round-trip test measures the broker messages per frame that
+step coalescing saves over one round trip per STM op; both emit into the ``BENCH_substrates.json``
 summary next to this file.  Wall-clock speedup assertions only fire on
 rungs the host can actually parallelize (``cpus >= workers``); a
 single-CPU container reports its honest <= 1x numbers instead of failing
@@ -229,48 +229,50 @@ def test_substrate_scaling_ladder():
 
 
 def test_broker_roundtrip_coalescing():
-    """Marginal broker round trips per frame: coalesced vs per-op.
+    """Marginal broker round trips per frame: coalesced steps vs per-op.
 
     Runs the real tracker graph at work_scale=1 (transport-dominated)
-    for 4 and 8 frames in both coalescing modes; the *marginal* rate
-    ``(rt(8) - rt(4)) / 4`` excludes one-time costs (static gets, the
-    final flush), so it is the steady-state queue crossings per frame.
-    Coalescing must cut it by >= 3x — this holds on any host, CPU count
-    is irrelevant to message counts.
+    for 4 and 8 frames; the *marginal* rate ``(rt(8) - rt(4)) / 4``
+    excludes one-time costs (static gets, the final flush), so it is the
+    steady-state queue crossings per frame.  The per-op baseline is the
+    program's STM op count per frame — one round trip per op, as the
+    deleted per-op broker protocol took.  Coalescing must cut it by
+    >= 3x — this holds on any host, CPU count is irrelevant to message
+    counts.
     """
     from repro.apps.tracker.graph import attach_kernels, build_tracker_graph
     from repro.runtime.process import ProcessRuntime
     from repro.state import State
 
     n_models = 2
-    rates: dict[str, float] = {}
-    detail: dict[str, dict] = {}
-    for coalesce in (True, False):
-        per_frames: dict[int, int] = {}
-        ops: dict[int, dict] = {}
-        for frames in (4, 8):
-            video = VideoSource(n_targets=n_models, height=48, width=64,
-                                seed=23)
-            live, statics = attach_kernels(
-                build_tracker_graph(frame_shape=(48, 64)), video
-            )
-            rt = ProcessRuntime(live, State(n_models=n_models),
-                                static_inputs=statics, coalesce=coalesce)
-            res = rt.run(frames)
-            per_frames[frames] = res.meta["broker_roundtrips"]
-            ops[frames] = res.meta["broker_ops"]
-        key = "coalesced" if coalesce else "per_op"
-        rates[key] = (per_frames[8] - per_frames[4]) / 4
-        detail[key] = {
+    per_frames: dict[int, int] = {}
+    ops: dict[int, dict] = {}
+    for frames in (4, 8):
+        video = VideoSource(n_targets=n_models, height=48, width=64, seed=23)
+        live, statics = attach_kernels(
+            build_tracker_graph(frame_shape=(48, 64)), video
+        )
+        rt = ProcessRuntime(live, State(n_models=n_models),
+                            static_inputs=statics)
+        res = rt.run(frames)
+        per_frames[frames] = res.meta["broker_roundtrips"]
+        ops[frames] = res.meta["broker_ops"]
+    # Collectors run in the broker's process and cost no round trips.
+    per_op = sum(len(agent.frame_ops) for agent in rt.program.tasks)
+    coalesced = (per_frames[8] - per_frames[4]) / 4
+    ratio = per_op / coalesced
+    RESULTS["broker_roundtrips"] = {
+        "per_op": {"marginal_roundtrips_per_frame": per_op},
+        "coalesced": {
             "roundtrips": {str(f): n for f, n in per_frames.items()},
             "ops_at_8_frames": ops[8],
-            "marginal_roundtrips_per_frame": rates[key],
-        }
-    ratio = rates["per_op"] / rates["coalesced"]
-    RESULTS["broker_roundtrips"] = {**detail, "reduction_ratio": ratio}
+            "marginal_roundtrips_per_frame": coalesced,
+        },
+        "reduction_ratio": ratio,
+    }
     print(
-        f"\n  per-frame round trips: per-op={rates['per_op']:.1f} "
-        f"coalesced={rates['coalesced']:.1f} ({ratio:.1f}x fewer)"
+        f"\n  per-frame round trips: per-op={per_op} "
+        f"coalesced={coalesced:.1f} ({ratio:.1f}x fewer)"
     )
     assert ratio >= 3.0, (
         f"coalescing only cut round trips {ratio:.2f}x (need >= 3x)"

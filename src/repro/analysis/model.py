@@ -20,15 +20,16 @@ states:
 * ``M004`` — the state-space budget was exceeded (explicit, never
   silent; no verdicts or downgrades are claimed on a truncated run).
 
-The model mirrors :class:`~repro.runtime.threaded.ThreadedRuntime`
-exactly: every task is an agent performing, per timestamp, its stream
-*gets* (input order), its *puts* (output order), then its *consumes*;
-every terminal channel gets a collector agent that gets-then-consumes.
-:class:`ChannelDecl` generalizes the access pattern — a consumer may hold
-a *window* of items before consuming the oldest, and either side may
-touch only a strided subset of timestamps — which is how real deadlocks
-arise (the default declarations on an acyclic graph are provably safe,
-and that proof is exactly what downgrades ``P001`` warnings to INFO).
+The model is compiled from :class:`~repro.runtime.dispatch.TaskProgram`,
+the program every substrate runs: its agents (every task, plus one
+collector per terminal channel) perform, per timestamp, the program's op
+template — stream *gets* (input order), *puts* (output order), then
+*consumes*.  :class:`ChannelDecl` generalizes the access pattern — a
+consumer may hold a *window* of items before consuming the oldest, and
+either side may touch only a strided subset of timestamps — which is
+how real deadlocks arise (the default declarations on an acyclic graph
+are provably safe, and that proof is exactly what downgrades ``P001``
+warnings to INFO).
 
 **State canonicalization.**  Each agent is sequential and deterministic,
 so a global state is fully described by the tuple of per-agent operation
@@ -64,6 +65,10 @@ from typing import Iterable, Optional, Sequence, Union
 
 from repro.analysis.findings import AnalysisReport, Severity
 from repro.graph.taskgraph import TaskGraph
+from repro.runtime.dispatch import CONSUME as _CONSUME
+from repro.runtime.dispatch import GET as _GET
+from repro.runtime.dispatch import PUT as _PUT
+from repro.runtime.dispatch import TaskProgram, collector_name
 
 __all__ = [
     "ChannelDecl",
@@ -85,21 +90,15 @@ DEFAULT_BUDGET = 200_000
 #: reach its steady state).
 MAX_HORIZON = 64
 
-_GET, _PUT, _CONSUME = "get", "put", "consume"
-
-
-def collector_name(channel: str) -> str:
-    """The model agent draining terminal channel ``channel``."""
-    return f"-collect-{channel}"
-
 
 @dataclass(frozen=True)
 class ChannelDecl:
     """How one agent accesses one channel (the consume declaration).
 
     The default (``window=1, stride=1, offset=0``) is exactly the
-    threaded runtime: touch every timestamp in order and consume each
-    item at the end of its own iteration.
+    shipped :class:`~repro.runtime.dispatch.TaskProgram`: touch every
+    timestamp in order and consume each item at the end of its own
+    iteration.
 
     ``window=w`` (consumers) holds the last ``w`` gotten items before
     consuming the oldest — a sliding-window kernel.  ``stride``/``offset``
@@ -605,16 +604,26 @@ def build_model(
     decls: Iterable[ChannelDecl] = (),
     horizon: Optional[int] = None,
 ) -> StmModel:
-    """Compile ``graph`` (plus overrides) into a :class:`StmModel`.
+    """Compile ``graph``'s :class:`~repro.runtime.dispatch.TaskProgram`
+    (plus overrides) into a :class:`StmModel`.
 
-    ``capacities`` overrides declared channel capacities by name;
-    ``decls`` supplies :class:`ChannelDecl` access patterns (default:
-    every agent touches every timestamp, window 1 — the threaded
-    runtime's behavior).  Raises :class:`ValueError` for declarations
+    Each model agent is a program agent, its ops the program's
+    per-timestamp op template over ``horizon`` timestamps; ``decls``
+    apply :class:`ChannelDecl` access patterns to that template
+    (default: every agent touches every timestamp, window 1 — the
+    program exactly).  ``capacities`` overrides declared channel
+    capacities by name.  Raises :class:`ValueError` for declarations
     naming unknown agents/channels; structural defects (cycles, missing
     producers) are pass-1 territory and make the model unbuildable.
+
+    One documented refinement separates the model from the process
+    substrate: the broker applies a step's consumes before its parked
+    puts (:class:`~repro.stm.process.StepBatch`).  That only frees
+    capacity earlier, so every model verdict of deadlock-freedom holds
+    there too.
     """
     graph.validate()
+    program = TaskProgram(graph)
     decl_map = _resolve_decls(decls)
     streaming = [ch for ch in graph.channels if not ch.static]
     caps: dict[str, Optional[int]] = {ch.name: ch.capacity for ch in streaming}
@@ -623,11 +632,17 @@ def build_model(
             raise ValueError(f"capacity override for unknown channel {name!r}")
         caps[name] = cap
 
+    producers: dict[str, list[str]] = {}
+    consumers: dict[str, list[str]] = {}
+    for agent in program.agents:
+        for c in agent.outputs:
+            producers.setdefault(c, []).append(agent.name)
+        for c in agent.stream_inputs:
+            consumers.setdefault(c, []).append(agent.name)
     channels: dict[str, _Channel] = {}
-    terminal: list[str] = []
     for spec in streaming:
-        prods = graph.producers(spec.name)
-        cons = [t.name for t in graph.consumers(spec.name)]
+        prods = producers.get(spec.name, [])
+        cons = consumers.get(spec.name, [])
         if not prods:
             if cons:
                 raise ValueError(
@@ -636,22 +651,11 @@ def build_model(
                 )
             continue  # orphan output of nothing — not part of the protocol
         ch = _Channel(spec.name, caps[spec.name])
-        ch.producer = prods[0].name
+        ch.producer = prods[0]
         ch.consumers = cons
         channels[spec.name] = ch
-        if not cons:
-            terminal.append(spec.name)
-            ch.consumers = [collector_name(spec.name)]
 
-    agent_names = [t.name for t in graph.tasks] + [collector_name(c) for c in terminal]
-    valid_pairs = set()
-    for t in graph.tasks:
-        for c in t.inputs:
-            valid_pairs.add((t.name, c))
-        for c in t.outputs:
-            valid_pairs.add((t.name, c))
-    for c in terminal:
-        valid_pairs.add((collector_name(c), c))
+    valid_pairs = {(a.name, c) for a in program.agents for c in a.inputs + a.outputs}
     for key in decl_map:
         if key not in valid_pairs:
             raise ValueError(f"ChannelDecl names unknown (agent, channel) pair {key}")
@@ -670,35 +674,25 @@ def build_model(
         ch.put_pos = {ts: i for i, ts in enumerate(ch.put_plan)}
 
     agents: list[_Agent] = []
-    for idx, name in enumerate(agent_names):
-        if name.startswith("-collect-"):
-            stream_inputs = [name[len("-collect-") :]]
-            outputs: list[str] = []
-        else:
-            task = graph.task(name)
-            stream_inputs = [c for c in task.inputs if c in channels]
-            outputs = [c for c in task.outputs if c in channels]
-        get_plans = {c: pattern(name, c) for c in stream_inputs}
-        get_ts = {c: get_plans[c].timestamps(horizon) for c in stream_inputs}
-        get_set = {c: set(ts) for c, ts in get_ts.items()}
-        get_idx = {c: {t: i for i, t in enumerate(ts)} for c, ts in get_ts.items()}
-        put_set = {
-            c: set(pattern(name, c).timestamps(horizon)) for c in outputs
-        }
+    for agent in program.agents:
+        name = agent.name
+        template = [(kind, c) for kind, c in agent.frame_ops if c in channels]
+        plans = {c: pattern(name, c) for _kind, c in template}
+        touched = {c: plans[c].timestamps(horizon) for c in plans}
+        touched_set = {c: set(ts) for c, ts in touched.items()}
+        position = {c: {t: i for i, t in enumerate(ts)} for c, ts in touched.items()}
         ops: list[Step] = []
         for ts in range(horizon):
-            for c in stream_inputs:
-                if ts in get_set[c]:
-                    ops.append(Step(name, _GET, c, ts))
-            for c in outputs:
-                if ts in put_set[c]:
-                    ops.append(Step(name, _PUT, c, ts))
-            for c in stream_inputs:
-                if ts in get_set[c]:
-                    j = get_idx[c][ts] - get_plans[c].window + 1
-                    if j >= 0:
-                        ops.append(Step(name, _CONSUME, c, get_ts[c][j]))
-        agents.append(_Agent(name, idx, ops))
+            for kind, c in template:
+                if ts not in touched_set[c]:
+                    continue
+                if kind != _CONSUME:
+                    ops.append(Step(name, kind, c, ts))
+                    continue
+                j = position[c][ts] - plans[c].window + 1
+                if j >= 0:
+                    ops.append(Step(name, _CONSUME, c, touched[c][j]))
+        agents.append(_Agent(name, agent.index, ops))
 
     return StmModel(graph, agents, channels, horizon)
 
@@ -756,7 +750,7 @@ def check_model(
     heuristic warned, the checker proved.  ``solution`` (or a sequence
     via ``solutions``) only annotates M003 certificates with the
     schedule's slip-free in-flight count; the model itself is
-    self-timed, like the runtime it mirrors.
+    self-timed, like the program the runtimes run.
 
     On ``M004`` (budget exceeded) nothing is proved: no downgrades, and
     the finding says exactly how far exploration got.

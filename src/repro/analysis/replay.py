@@ -10,10 +10,10 @@ turn-based gate.  After the trace prefix, each agent the model claims is
 wedged attempts its next channel operation with a short timeout — a
 genuine wedge means every one of them times out inside the real STM.
 
-The thread bodies mirror the model's op lists, which mirror
-:class:`~repro.runtime.threaded.ThreadedRuntime`'s per-timestamp order
-(gets, puts, consumes), so a confirmed replay is evidence about the
-shipping runtime, not about a toy.
+The thread bodies execute the model's op lists, which are compiled from
+:class:`~repro.runtime.dispatch.TaskProgram` — the per-timestamp order
+(gets, puts, consumes) every substrate runs — so a confirmed replay is
+evidence about the shipping runtimes, not about a toy.
 """
 
 from __future__ import annotations

@@ -53,7 +53,8 @@ from repro.faults.retry import RetryPolicy, get_with_retry, put_with_retry
 from repro.faults.view import ClusterView
 from repro.graph.taskgraph import TaskGraph
 from repro.metrics.recovery import recovery_stats
-from repro.runtime.hub import build_hubs
+from repro.runtime.dispatch import TaskProgram
+from repro.runtime.hub import build_hubs, wire_hubs
 from repro.runtime.result import ExecutionResult
 from repro.sim.cluster import ClusterSpec
 from repro.sim.engine import SimEvent, Simulator
@@ -211,7 +212,6 @@ class FaultTolerantExecutor:
         sink_names = set(self.graph.sink_tasks())
         sink_done: dict[str, dict[int, float]] = {s: {} for s in sink_names}
         completion: dict[int, float] = {}
-        sources = set(self.graph.source_tasks())
         preds = {t.name: self.graph.predecessors(t.name) for t in self.graph.tasks}
         edge_bytes = {
             (p, t.name): self.graph.comm_bytes(p, t.name, self.state)
@@ -255,28 +255,8 @@ class FaultTolerantExecutor:
                             frame.mark_lost("transition")
 
         detector.subscribe(on_detection)
-
-        # Static configuration channels are populated once, up front.
-        for spec in self.graph.channels:
-            if spec.static:
-                conn = hubs[spec.name].stm.attach_output("-env-")
-                hubs[spec.name].stm.put(conn, 0, {"state": self.state})
-
-        collector_conns = {
-            spec.name: hubs[spec.name].stm.attach_input("-collector-")
-            for spec in self.graph.channels
-            if not spec.static
-            and self.graph.producers(spec.name)
-            and not self.graph.consumers(spec.name)
-        }
-        conns_in = {
-            t.name: {ch: hubs[ch].stm.attach_input(t.name) for ch in t.inputs}
-            for t in self.graph.tasks
-        }
-        conns_out = {
-            t.name: {ch: hubs[ch].stm.attach_output(t.name) for ch in t.outputs}
-            for t in self.graph.tasks
-        }
+        program = TaskProgram(self.graph)
+        wiring = wire_hubs(program, hubs, self.state)
 
         def frame_resolved(frame: _Frame) -> None:
             outstanding[0] -= 1
@@ -297,7 +277,7 @@ class FaultTolerantExecutor:
         def run_placement(frame: _Frame, pl, pred_primary: dict[str, int]):
             ts = frame.ts
             phys = pl.procs  # already translated to physical indices
-            task = self.graph.task(pl.task)
+            agent = program[pl.task]
             try:
                 ready = pl.start
                 for pred in preds[pl.task]:
@@ -316,12 +296,11 @@ class FaultTolerantExecutor:
                     raise FrameLost(ts, "crash")
                 # Fetch streaming inputs through the retrying STM wrapper —
                 # a dead producer costs the backoff budget, not forever.
-                for ch in task.inputs:
-                    if self.graph.channel(ch).static:
-                        continue
+                for ch in agent.stream_inputs:
                     try:
                         yield from get_with_retry(
-                            hubs[ch], conns_in[pl.task][ch], ts, self.faults.retry
+                            hubs[ch], wiring.conns_in[pl.task][ch], ts,
+                            self.faults.retry,
                         )
                     except ItemConsumed:
                         pass  # a replay of work this connection already saw
@@ -350,24 +329,22 @@ class FaultTolerantExecutor:
                         timestamp=ts,
                         node_class=node_class_of(self.cluster, phys[0]),
                     )
-                for ch in task.outputs:
+                for ch in agent.outputs:
                     hub = hubs[ch]
                     if not hub.stm.holds(ts):  # replays reuse surviving items
                         size = self.graph.channel(ch).item_size(self.state)
                         yield from put_with_retry(
-                            hub, conns_out[pl.task][ch], ts, {"ts": ts},
+                            hub, wiring.conns_out[pl.task][ch], ts, {"ts": ts},
                             size=size, policy=self.faults.retry,
                         )
-                    collector = collector_conns.get(ch)
+                    collector = wiring.collector(ch)
                     if collector is not None:
                         hub.try_get(collector, ts)
                         hub.consume(collector, ts)
-                if pl.task in sources:
+                if agent.is_source:
                     digitize_times.setdefault(ts, sim.now)
-                for ch in task.inputs:
-                    if self.graph.channel(ch).static:
-                        continue
-                    hubs[ch].consume(conns_in[pl.task][ch], ts)
+                for ch in agent.stream_inputs:
+                    hubs[ch].consume(wiring.conns_in[pl.task][ch], ts)
                 if pl.task in sink_names:
                     sink_done[pl.task][ts] = end
                 frame.done[pl.task].succeed(end)

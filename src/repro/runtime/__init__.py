@@ -11,11 +11,14 @@
   readiness) hold in execution.
 * :mod:`repro.runtime.result` — the uniform result object both executors
   produce: trace + channel registry + per-timestamp latency accounting.
+* :mod:`repro.runtime.dispatch` — the STM program every substrate runs
+  (:class:`~repro.runtime.dispatch.TaskProgram`) and the flat schedule
+  tables the executors dispatch through.
 * :mod:`repro.runtime.threaded` — the live runtime running real kernels on
   real Python threads over :class:`~repro.stm.threaded.ThreadedChannel`.
 * :mod:`repro.runtime.process` — the live runtime running real kernels on
   worker *processes* (one per scheduled cluster node, chunk pools for
-  data-parallel variants) over :class:`~repro.stm.process.ProcessChannel`.
+  data-parallel variants) over the :class:`~repro.stm.process.ChannelBroker`.
 """
 
 from repro.runtime.result import ExecutionResult

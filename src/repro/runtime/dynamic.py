@@ -27,14 +27,14 @@ from typing import TYPE_CHECKING, Optional
 from repro.errors import ExecutorConfigError, ReproError
 from repro.graph.task import Task
 from repro.graph.taskgraph import TaskGraph
-from repro.runtime.hub import build_hubs
+from repro.runtime.dispatch import TaskProgram, completion_times
+from repro.runtime.hub import build_hubs, wire_hubs
 from repro.runtime.result import ExecutionResult
 from repro.sched.online import OnlineScheduler
 from repro.sim.cluster import ClusterSpec
 from repro.sim.engine import Simulator
 from repro.sim.trace import ExecSpan, TraceRecorder
 from repro.state import State
-from repro.stm.connection import Connection
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only (avoids an import cycle)
     from repro.faults.events import FaultPlan
@@ -131,46 +131,21 @@ class DynamicExecutor:
         sink_done: dict[str, dict[int, float]] = {s: {} for s in self.graph.sink_tasks()}
         emitted = [0]
 
-        # Static (configuration) channels are populated once, up front.
-        for spec in self.graph.channels:
-            if spec.static:
-                hub = hubs[spec.name]
-                conn = hub.stm.attach_output("-env-")
-                hub.stm.put(conn, 0, {"state": self.state}, size=spec.item_size(self.state))
-
         # Terminal channels (streams no task consumes, e.g. model_locations)
-        # are drained by an implicit collector — the application's output
-        # side (DECface reads the locations in the real system).  Without
-        # this, a capacity-bounded terminal channel would fill and block
-        # the sink task forever.
-        self._collector_conns = {
-            spec.name: hubs[spec.name].stm.attach_input("-collector-")
-            for spec in self.graph.channels
-            if not spec.static
-            and self.graph.producers(spec.name)
-            and not self.graph.consumers(spec.name)
-        }
-
-        conns_in: dict[str, dict[str, Connection]] = {}
-        conns_out: dict[str, dict[str, Connection]] = {}
-        streaming_in: dict[str, list[str]] = {}
-        for t in self.graph.tasks:
-            conns_in[t.name] = {
-                ch: hubs[ch].stm.attach_input(t.name) for ch in t.inputs
-            }
-            conns_out[t.name] = {
-                ch: hubs[ch].stm.attach_output(t.name) for ch in t.outputs
-            }
-            streaming_in[t.name] = [
-                ch for ch in t.inputs if not self.graph.channel(ch).static
-            ]
-
-        sources = set(self.graph.source_tasks())
-        for t in self.graph.tasks:
-            if t.name in sources:
+        # are drained by the program's collectors — the application's
+        # output side (DECface reads the locations in the real system).
+        # Without them, a capacity-bounded terminal channel would fill and
+        # block the sink task forever.
+        program = TaskProgram(self.graph)
+        self._wiring = wiring = wire_hubs(program, hubs, self.state)
+        for agent in program.tasks:
+            t = agent.task
+            conns_in = wiring.conns_in[t.name]
+            conns_out = wiring.conns_out[t.name]
+            if agent.is_source:
                 sim.process(
                     self._source_proc(
-                        sim, trace, hubs, t, conns_in[t.name], conns_out[t.name],
+                        sim, trace, hubs, t, conns_in, conns_out,
                         digitize_times, emitted, max_timestamps, sink_done,
                     ),
                     name=f"src:{t.name}",
@@ -178,19 +153,15 @@ class DynamicExecutor:
             else:
                 sim.process(
                     self._consumer_proc(
-                        sim, trace, hubs, t, conns_in[t.name], conns_out[t.name],
-                        streaming_in[t.name], sink_done,
+                        sim, trace, hubs, t, conns_in, conns_out,
+                        list(agent.stream_inputs), sink_done,
                     ),
                     name=f"task:{t.name}",
                 )
 
         sim.run(until=horizon)
 
-        completion: dict[int, float] = {}
-        if sink_done:
-            common = set.intersection(*(set(d) for d in sink_done.values()))
-            for ts in common:
-                completion[ts] = max(d[ts] for d in sink_done.values())
+        completion = completion_times(sink_done)
         if self.obs is not None:
             for ts in sorted(completion):
                 if ts in digitize_times:
@@ -276,7 +247,7 @@ class DynamicExecutor:
         for ch in task.outputs:
             size = self.graph.channel(ch).item_size(self.state)
             yield from hubs[ch].put(conns_out[ch], ts, {"ts": ts}, size=size)
-            collector = self._collector_conns.get(ch)
+            collector = self._wiring.collector(ch)
             if collector is not None:
                 hubs[ch].try_get(collector, ts)
                 hubs[ch].consume(collector, ts)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.graph.taskgraph import TaskGraph
+from repro.runtime.dispatch import TaskProgram, Wiring
 from repro.sim.engine import SimEvent, Simulator
 from repro.sim.trace import ItemEvent, TraceRecorder
 from repro.stm.channel import STMChannel, Timestamp
@@ -27,7 +28,7 @@ from repro.stm.gc import GCStats, collect_channel
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.obs import Observability
 
-__all__ = ["ChannelHub", "build_hubs"]
+__all__ = ["ChannelHub", "build_hubs", "wire_hubs"]
 
 
 class ChannelHub:
@@ -149,3 +150,15 @@ def build_hubs(
             sim, STMChannel(spec.name, capacity=cap), trace, obs=obs
         )
     return hubs
+
+
+def wire_hubs(program: TaskProgram, hubs: dict[str, ChannelHub], state) -> Wiring:
+    """Wire ``program`` into simulator hubs; static channels hold the state."""
+    return program.wire(
+        lambda ch, who: hubs[ch].stm.attach_input(who),
+        lambda ch, who: hubs[ch].stm.attach_output(who),
+        lambda ch, conn: hubs[ch].stm.put(
+            conn, 0, {"state": state},
+            size=program.graph.channel(ch).item_size(state),
+        ),
+    )

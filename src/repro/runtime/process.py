@@ -7,9 +7,10 @@ rung between the simulator and real hardware:
 
 * every scheduled cluster *node* becomes a worker ``multiprocessing``
   process (fork-based, mirroring :mod:`repro.core.parallel`);
-* each worker runs its node's task assignments as threads inside the
-  worker, exactly the threaded runtime's task body, but over
-  :class:`~repro.stm.process.ProcessChannel` proxies — STM items cross
+* each worker runs its node's task agents as threads inside the worker,
+  through the threaded runtime's frame loop
+  (:meth:`~repro.runtime.dispatch.Agent.run`), each step one
+  :class:`~repro.stm.process.StepBatch` round trip — STM items cross
   nodes through the parent's :class:`~repro.stm.process.ChannelBroker`
   (shared-memory transport for array payloads, pickle otherwise);
 * a task placed with a data-parallel variant (``dp4``) fans its chunks
@@ -39,6 +40,14 @@ from repro.core.schedule import PipelinedSchedule
 from repro.errors import ReproError
 from repro.graph.task import Task
 from repro.graph.taskgraph import TaskGraph
+from repro.runtime.dispatch import (
+    GET,
+    PUT,
+    Agent,
+    TaskProgram,
+    completion_times,
+    op_by_op,
+)
 from repro.sim.trace import ExecSpan
 from repro.state import State
 from repro.stm.process import (
@@ -114,10 +123,6 @@ class ProcessFaultPlan:
         if self.kernel_retries < 0 or self.max_respawns < 0:
             raise ReproError("retry/respawn budgets must be >= 0")
 
-    def events_for(self, tasks) -> list[KernelFault]:
-        names = set(tasks)
-        return [e for e in self.events if e.task in names]
-
 
 # ---------------------------------------------------------------------------
 # Result
@@ -156,9 +161,8 @@ class _WorkerSpec:
 
     worker_id: int
     node: int
-    tasks: list[Task]
+    agents: list[Agent]
     state: State
-    static_channels: frozenset[str]
     conns_in: dict[str, dict[str, int]]
     conns_out: dict[str, dict[str, int]]
     resume: dict[str, int]
@@ -172,8 +176,6 @@ class _WorkerSpec:
     kernel_retries: int
     replay: bool
     t0: float
-    record_spans: bool = True
-    coalesce: bool = True
 
 
 #: Chunkable tasks of THIS worker, read by forked pool children.
@@ -219,8 +221,8 @@ def _worker_main(spec: _WorkerSpec) -> None:
     # (forking with live threads can inherit held locks).  Warmup submits
     # force the pool children into existence before any task thread starts.
     chunked = [
-        t for t in spec.tasks
-        if t.compute_chunk is not None and spec.dp_plan.get(t.name, (1,))[0] > 1
+        a.task for a in spec.agents
+        if a.task.compute_chunk is not None and spec.dp_plan.get(a.name, (1,))[0] > 1
     ]
     if chunked:
         import multiprocessing
@@ -243,9 +245,6 @@ def _worker_main(spec: _WorkerSpec) -> None:
     errors: list[str] = []
     errors_lock = threading.Lock()
     fired: set[tuple[str, int]] = set()
-
-    def channel_for(name: str) -> ProcessChannel:
-        return ProcessChannel(name, link, replay=spec.replay)
 
     def invoke_kernel(task: Task, inputs: dict, ts: int) -> dict:
         """One (task, timestamp) execution, chunk-parallel when planned."""
@@ -291,127 +290,56 @@ def _worker_main(spec: _WorkerSpec) -> None:
 
     def run_kernel(task: Task, inputs: dict, ts: int, variant: str,
                    proc: int) -> dict:
-        """Invoke + validate one kernel execution (shared by both loops)."""
-        if task.compute is not None or task.compute_chunk is not None:
-            k0 = _time.perf_counter() - spec.t0
-            result = invoke_kernel(task, inputs, ts)
-            k1 = _time.perf_counter() - spec.t0
-            if spec.record_spans:
-                spans.append((task.name, variant, ts, k0, k1, proc))
-            if not isinstance(result, dict):
-                raise ReproError(
-                    f"kernel of {task.name!r} returned "
-                    f"{type(result).__name__}, expected dict"
-                )
-        else:
-            result = {ch: inputs for ch in task.outputs}
-        for ch in task.outputs:
-            if ch not in result:
-                raise ReproError(
-                    f"kernel of {task.name!r} produced no value for "
-                    f"channel {ch!r}"
-                )
+        """One timed kernel execution (pass-through without a kernel)."""
+        if task.compute is None and task.compute_chunk is None:
+            return {ch: inputs for ch in task.outputs}
+        k0 = _time.perf_counter() - spec.t0
+        result = invoke_kernel(task, inputs, ts)
+        k1 = _time.perf_counter() - spec.t0
+        spans.append((task.name, variant, ts, k0, k1, proc))
         return result
 
-    def task_body(task: Task) -> None:
+    def agent_body(agent: Agent) -> None:
+        """The shared frame loop, one broker round trip per step.
+
+        The broker applies a step's consumes immediately, even when its
+        puts or gets park, so deferring a frame's puts and consumes into
+        the next frame's step cannot deadlock bounded channels.
+        """
+        chans = {ch: ProcessChannel(ch) for ch in agent.inputs + agent.outputs}
+        ins = spec.conns_in[agent.name]
+        outs = spec.conns_out[agent.name]
+        variant = spec.dp_plan.get(agent.name, (1, "serial", ()))[1]
+        proc = spec.primary_proc.get(agent.name, spec.node)
+
+        def commit(ops, result: dict) -> list:
+            batch = StepBatch(link, replay=spec.replay)
+            for kind, ch, ts in ops:
+                if kind == GET:
+                    batch.get(chans[ch], ins[ch], ts)
+                elif kind == PUT:
+                    batch.put(chans[ch], outs[ch], ts, result[ch])
+                else:
+                    batch.consume(chans[ch], ins[ch], ts)
+            return [value for _ts, value in batch.commit(timeout=spec.op_timeout)]
+
         try:
-            ins = {ch: channel_for(ch) for ch in task.inputs}
-            outs = {ch: channel_for(ch) for ch in task.outputs}
-            conns_in = spec.conns_in[task.name]
-            conns_out = spec.conns_out[task.name]
-            # Flat dispatch: channel classification resolved once, before
-            # the frame loop.
-            stream_inputs = [ch for ch in task.inputs
-                             if ch not in spec.static_channels]
-            static_inputs = [ch for ch in task.inputs
-                             if ch in spec.static_channels]
-            variant = spec.dp_plan.get(task.name, (1, "serial", ()))[1]
-            proc = spec.primary_proc.get(task.name, spec.node)
-            start_ts = spec.resume.get(task.name, 0)
-            if spec.coalesce:
-                run_coalesced(task, ins, outs, conns_in, conns_out,
-                              stream_inputs, static_inputs, variant, proc,
-                              start_ts)
-            else:
-                statics = {
-                    ch: ins[ch].get(conns_in[ch], 0,
-                                    timeout=spec.op_timeout)[1]
-                    for ch in static_inputs
-                }
-                for ts in range(start_ts, spec.timestamps):
-                    inputs = dict(statics)
-                    for ch in stream_inputs:
-                        _, value = ins[ch].get(conns_in[ch], ts,
-                                               timeout=spec.op_timeout)
-                        inputs[ch] = value
-                    result = run_kernel(task, inputs, ts, variant, proc)
-                    for ch in task.outputs:
-                        outs[ch].put(conns_out[ch], ts, result[ch],
-                                     timeout=spec.op_timeout)
-                    for ch in stream_inputs:
-                        ins[ch].consume(conns_in[ch], ts)
-            for ch in list(ins.values()) + list(outs.values()):
-                ch.close()
+            agent.run(
+                spec.resume.get(agent.name, 0), spec.timestamps, commit,
+                lambda ts, inputs: run_kernel(agent.task, inputs, ts, variant, proc),
+            )
+            for chan in chans.values():
+                chan.close()
         except ChannelPoisoned:
             pass
         except BaseException:  # noqa: BLE001 - shipped to the parent
             with errors_lock:
                 errors.append(traceback.format_exc())
 
-    def run_coalesced(task: Task, ins, outs, conns_in, conns_out,
-                      stream_inputs, static_inputs, variant, proc,
-                      start_ts) -> None:
-        """The batched frame loop: ONE broker round trip per frame.
-
-        Frame ``ts``'s puts and consumes are deferred and ride in the
-        same step as frame ``ts+1``'s gets; a final flush step ships the
-        last frame's.  The broker applies a step's consumes immediately
-        even when its puts/gets park, so the deferral cannot deadlock
-        bounded channels.  Item streams and kernel results are identical
-        to the per-op loop (pinned by the conformance tests); the trade
-        is one kernel execution of extra pipeline latency per stage for
-        an op_timeout's worth fewer queue crossings.
-        """
-        prev_result: Optional[dict] = None
-        prev_ts = -1
-        statics: dict[str, Any] = {}
-        for ts in range(start_ts, spec.timestamps):
-            batch = StepBatch(link, replay=spec.replay)
-            if prev_result is not None:
-                for ch in task.outputs:
-                    batch.put(outs[ch], conns_out[ch], prev_ts,
-                              prev_result[ch])
-                for ch in stream_inputs:
-                    batch.consume(ins[ch], conns_in[ch], prev_ts)
-            if ts == start_ts:
-                for ch in static_inputs:
-                    batch.get(ins[ch], conns_in[ch], 0)
-            for ch in stream_inputs:
-                batch.get(ins[ch], conns_in[ch], ts)
-            got = batch.commit(timeout=spec.op_timeout)
-            i = 0
-            if ts == start_ts:
-                for ch in static_inputs:
-                    statics[ch] = got[i][1]
-                    i += 1
-            inputs = dict(statics)
-            for ch in stream_inputs:
-                inputs[ch] = got[i][1]
-                i += 1
-            prev_result = run_kernel(task, inputs, ts, variant, proc)
-            prev_ts = ts
-        if prev_result is not None:
-            flush = StepBatch(link, replay=spec.replay)
-            for ch in task.outputs:
-                flush.put(outs[ch], conns_out[ch], prev_ts, prev_result[ch])
-            for ch in stream_inputs:
-                flush.consume(ins[ch], conns_in[ch], prev_ts)
-            flush.commit(timeout=spec.op_timeout)
-
     threads = [
-        threading.Thread(target=task_body, args=(t,), name=f"task:{t.name}",
+        threading.Thread(target=agent_body, args=(a,), name=f"agent:{a.name}",
                          daemon=True)
-        for t in spec.tasks
+        for a in spec.agents
     ]
     for th in threads:
         th.start()
@@ -463,15 +391,8 @@ class ProcessRuntime:
         neither, every task runs on node 0 (one worker, still a separate
         process from the parent).
     faults:
-        Optional :class:`ProcessFaultPlan`.
-    coalesce:
-        Batch each task's adjacent STM operations (previous frame's
-        puts + consumes, next frame's gets) into one broker "step"
-        round trip per frame.  ``None`` (default) reads the
-        ``REPRO_COALESCE`` environment variable — on unless set to
-        ``0``/``false``/``off``.  Item streams and outputs are
-        identical either way; only the number of queue crossings
-        changes.
+        Optional :class:`ProcessFaultPlan`; a run never modifies it, so
+        one plan can drive several runs.
     start_method:
         ``multiprocessing`` start method; only ``"fork"`` supports
         kernels that are closures (the default everywhere this runtime
@@ -490,7 +411,6 @@ class ProcessRuntime:
         obs: Optional["Observability"] = None,
         faults: Optional[ProcessFaultPlan] = None,
         start_method: str = "fork",
-        coalesce: Optional[bool] = None,
     ) -> None:
         graph.validate()
         from repro.core.optimal import ScheduleSolution
@@ -508,11 +428,7 @@ class ProcessRuntime:
         self.obs = obs
         self.faults = faults
         self.start_method = start_method
-        if coalesce is None:
-            coalesce = os.environ.get(
-                "REPRO_COALESCE", "1"
-            ).lower() not in ("0", "false", "off")
-        self.coalesce = coalesce
+        self.program = TaskProgram(graph)
         for spec in graph.channels:
             if spec.static and spec.name not in self.static_inputs:
                 raise ReproError(
@@ -553,35 +469,18 @@ class ProcessRuntime:
                 f"start method {self.start_method!r} unavailable: {exc}"
             ) from None
 
+        program = self.program
         broker = ChannelBroker(
             {spec.name: spec.capacity for spec in self.graph.channels},
             obs=self.obs,
         )
-        conns_in = {
-            t.name: {ch: broker.attach_input(ch, t.name) for ch in t.inputs}
-            for t in self.graph.tasks
-        }
-        conns_out = {
-            t.name: {ch: broker.attach_output(ch, t.name) for ch in t.outputs}
-            for t in self.graph.tasks
-        }
-        static_channels = frozenset(
-            spec.name for spec in self.graph.channels if spec.static
+        wiring = program.wire(
+            broker.attach_input, broker.attach_output,
+            lambda ch, conn: broker.put_static(ch, conn, self.static_inputs[ch]),
         )
-        terminal = [
-            spec.name
-            for spec in self.graph.channels
-            if not spec.static and not self.graph.consumers(spec.name)
-            and self.graph.producers(spec.name)
-        ]
-        collector_conns = {ch: broker.attach_input(ch, "-collector-")
-                           for ch in terminal}
-        for name, value in self.static_inputs.items():
-            broker.put_static(name, value)
-
         nodes = sorted(set(self.assignment.values()))
-        tasks_by_node = {
-            n: [t for t in self.graph.tasks if self.assignment[t.name] == n]
+        agents_by_node = {
+            n: [a for a in program.tasks if self.assignment[a.name] == n]
             for n in nodes
         }
         primary_proc = {
@@ -589,56 +488,64 @@ class ProcessRuntime:
             for task, plan in self.dp_plan.items()
         }
 
-        outputs: dict[str, dict[int, Any]] = {ch: {} for ch in terminal}
-        completion_raw: dict[str, dict[int, float]] = {ch: {} for ch in terminal}
+        outputs: dict[str, dict[int, Any]] = {ch: {} for ch in program.terminal}
+        completion_raw: dict[str, dict[int, float]] = {
+            ch: {} for ch in program.terminal
+        }
         collector_errors: list[str] = []
 
-        def collector_body(ch_name: str) -> None:
-            # Collectors live in the broker's process, so they read STM
-            # state directly under the broker lock — zero queue round
-            # trips for terminal traffic, in both coalescing modes.
-            conn = collector_conns[ch_name]
+        def collector_body(agent: Agent) -> None:
+            # Collectors live in the broker's process, so their steps read
+            # STM state directly under the broker lock — zero queue round
+            # trips for terminal traffic.
+            (ch,) = agent.stream_inputs
+            conn = wiring.conns_in[agent.name][ch]
+
+            def collect(ts: int, inputs: dict) -> dict:
+                outputs[ch][ts] = inputs[ch]
+                completion_raw[ch][ts] = broker.now
+                return {}
+
+            commit = op_by_op(
+                lambda c, ts: broker.local_get_blocking(
+                    c, conn, ts, timeout=self.op_timeout)[1],
+                None,
+                lambda c, ts: broker.local_consume(c, conn, ts),
+            )
             try:
-                for ts in range(timestamps):
-                    got_ts, value = broker.local_get_blocking(
-                        ch_name, conn, ts, timeout=self.op_timeout
-                    )
-                    outputs[ch_name][got_ts] = value
-                    completion_raw[ch_name][got_ts] = broker.now
-                    broker.local_consume(ch_name, conn, got_ts)
+                agent.run(0, timestamps, commit, collect)
             except ChannelPoisoned:
                 pass
             except (TimeoutError, BrokerDied) as exc:
-                collector_errors.append(f"{ch_name}: {exc}")
+                collector_errors.append(f"{ch}: {exc}")
 
         kernel_retries = self.faults.kernel_retries if self.faults else 0
+        # Exit faults a dead worker already executed are dropped from this
+        # run's copy, never from the caller's plan.
+        fault_events = list(self.faults.events) if self.faults else []
 
         def make_spec(worker_id: int, node: int, resume: dict[str, int],
                       replay: bool) -> _WorkerSpec:
-            node_tasks = tasks_by_node[node]
+            node_agents = agents_by_node[node]
+            names = {a.name for a in node_agents}
             return _WorkerSpec(
                 worker_id=worker_id,
                 node=node,
-                tasks=node_tasks,
+                agents=node_agents,
                 state=self.state,
-                static_channels=static_channels,
-                conns_in={t.name: conns_in[t.name] for t in node_tasks},
-                conns_out={t.name: conns_out[t.name] for t in node_tasks},
+                conns_in={n: wiring.conns_in[n] for n in names},
+                conns_out={n: wiring.conns_out[n] for n in names},
                 resume=resume,
                 timestamps=timestamps,
                 op_timeout=self.op_timeout,
                 requests=broker.requests,
                 replies=broker.register_worker(worker_id),
-                dp_plan={t.name: self.dp_plan[t.name] for t in node_tasks
-                         if t.name in self.dp_plan},
-                primary_proc={t.name: primary_proc.get(t.name, node)
-                              for t in node_tasks},
-                fault_events=(self.faults.events_for(
-                    [t.name for t in node_tasks]) if self.faults else []),
+                dp_plan={n: self.dp_plan[n] for n in names if n in self.dp_plan},
+                primary_proc={n: primary_proc.get(n, node) for n in names},
+                fault_events=[e for e in fault_events if e.task in names],
                 kernel_retries=kernel_retries,
                 replay=replay,
                 t0=broker._t0,
-                coalesce=self.coalesce,
             )
 
         broker.start()
@@ -655,9 +562,9 @@ class ProcessRuntime:
             next_worker_id += 1
 
         collectors = [
-            threading.Thread(target=collector_body, args=(ch,),
-                             name=f"collect:{ch}", daemon=True)
-            for ch in terminal
+            threading.Thread(target=collector_body, args=(a,),
+                             name=f"agent:{a.name}", daemon=True)
+            for a in program.collectors
         ]
         for th in collectors:
             th.start()
@@ -692,13 +599,20 @@ class ProcessRuntime:
                         )
                         break
                     respawns += 1
-                    resume = self._resume_map(broker, conns_in, conns_out,
-                                              tasks_by_node[node])
+                    resume = self._resume_map(broker, wiring,
+                                              agents_by_node[node])
                     detected = broker.now
                     if self.obs is not None:
                         self.obs.on_detection(detected, "worker-death",
                                               detail=f"node{node}")
-                    self._drop_fired_exits(tasks_by_node[node], resume)
+                    # Without this, the respawned worker would re-run the
+                    # fatal frame, hit the same injected exit, and
+                    # crash-loop until the respawn budget drained.
+                    fault_events = [
+                        e for e in fault_events
+                        if not (e.kind == "exit"
+                                and e.timestamp <= resume.get(e.task, -1))
+                    ]
                     spec = make_spec(next_worker_id, node, resume, replay=True)
                     newp = ctx.Process(target=_worker_main, args=(spec,),
                                        name=f"node{node}r{respawns}",
@@ -761,11 +675,7 @@ class ProcessRuntime:
                                                               proc_idx))
         spans.sort(key=lambda s: (s.start, s.proc))
 
-        completion: dict[int, float] = {}
-        if completion_raw:
-            common = set.intersection(*(set(d) for d in completion_raw.values()))
-            for ts in common:
-                completion[ts] = max(d[ts] for d in completion_raw.values())
+        completion = completion_times(completion_raw)
         if self.obs is not None:
             for ts in sorted(completion):
                 if ts in digitize:
@@ -786,7 +696,6 @@ class ProcessRuntime:
                 "dp_plan": {k: v[:2] for k, v in self.dp_plan.items()},
                 "gc_collected": gc_collected,
                 "live_item_high_water": high_water,
-                "coalesce": self.coalesce,
                 "broker_ops": broker_ops,
                 "broker_roundtrips": broker_roundtrips,
             },
@@ -794,48 +703,30 @@ class ProcessRuntime:
 
     # -- recovery helpers ---------------------------------------------------
 
-    def _resume_map(self, broker: ChannelBroker, conns_in, conns_out,
-                    node_tasks) -> dict[str, int]:
+    @staticmethod
+    def _resume_map(broker: ChannelBroker, wiring, agents) -> dict[str, int]:
         """First incomplete frame per task, recovered from STM state.
 
         A task consumes its inputs *last* in the frame loop, so its
         streaming input connections' virtual time is the first frame not
-        fully finished.  Sources (no inputs) resume after their last
-        replayable put.
+        fully finished.  Sources (no streaming inputs) resume after their
+        last replayable put.
         """
         resume: dict[str, int] = {}
-        for t in node_tasks:
-            streaming = [ch for ch in t.inputs
-                         if not self.graph.channel(ch).static]
-            if streaming:
-                resume[t.name] = min(
-                    broker.conn(conns_in[t.name][ch]).virtual_time
-                    for ch in streaming
+        for a in agents:
+            if a.stream_inputs:
+                resume[a.name] = min(
+                    broker.conn(wiring.conns_in[a.name][ch]).virtual_time
+                    for ch in a.stream_inputs
                 )
-            elif t.outputs:
-                resume[t.name] = min(
-                    broker.conn_put_next(conns_out[t.name][ch])
-                    for ch in t.outputs
+            elif a.outputs:
+                resume[a.name] = min(
+                    broker.conn_put_next(wiring.conns_out[a.name][ch])
+                    for ch in a.outputs
                 )
             else:
-                resume[t.name] = 0
+                resume[a.name] = 0
         return resume
-
-    def _drop_fired_exits(self, node_tasks, resume: dict[str, int]) -> None:
-        """Remove exit faults the dead worker already executed.
-
-        Without this, the respawned worker would re-run the fatal frame,
-        hit the same injected exit, and crash-loop until the respawn
-        budget drained.
-        """
-        if self.faults is None:
-            return
-        names = {t.name for t in node_tasks}
-        self.faults.events = tuple(
-            e for e in self.faults.events
-            if not (e.kind == "exit" and e.task in names
-                    and e.timestamp <= resume.get(e.task, 0))
-        )
 
     def _digitize_times(self, broker: ChannelBroker) -> dict[int, float]:
         """Frame emission times: the put instants on source output channels."""

@@ -27,8 +27,13 @@ from repro.errors import ExecutorConfigError
 from repro.core.optimal import ScheduleSolution
 from repro.core.schedule import PipelinedSchedule
 from repro.graph.taskgraph import TaskGraph
-from repro.runtime.dispatch import FlatPlacement, FlatSchedule, build_task_plans
-from repro.runtime.hub import build_hubs
+from repro.runtime.dispatch import (
+    FlatPlacement,
+    FlatSchedule,
+    TaskProgram,
+    completion_times,
+)
+from repro.runtime.hub import build_hubs, wire_hubs
 from repro.runtime.result import ExecutionResult
 from repro.sim.cluster import ClusterSpec
 from repro.sim.engine import Simulator
@@ -224,31 +229,8 @@ class StaticExecutor:
             p.index: Resource(sim, capacity=1, name=f"cpu{p.index}")
             for p in self.cluster.processors
         }
-
-        # Populate static configuration channels once.
-        for spec in self.graph.channels:
-            if spec.static:
-                conn = hubs[spec.name].stm.attach_output("-env-")
-                hubs[spec.name].stm.put(conn, 0, {"state": self.state})
-
-        # Terminal channels are drained by an implicit collector (the
-        # application's output side), mirroring the dynamic executor.
-        collector_conns = {
-            spec.name: hubs[spec.name].stm.attach_input("-collector-")
-            for spec in self.graph.channels
-            if not spec.static
-            and self.graph.producers(spec.name)
-            and not self.graph.consumers(spec.name)
-        }
-
-        conns_in = {
-            t.name: {ch: hubs[ch].stm.attach_input(t.name) for ch in t.inputs}
-            for t in self.graph.tasks
-        }
-        conns_out = {
-            t.name: {ch: hubs[ch].stm.attach_output(t.name) for ch in t.outputs}
-            for t in self.graph.tasks
-        }
+        program = TaskProgram(self.graph)
+        wiring = wire_hubs(program, hubs, self.state)
 
         done: dict[tuple[int, str], "object"] = {}
         for k in range(iterations):
@@ -258,7 +240,6 @@ class StaticExecutor:
         digitize_times: dict[int, float] = {}
         sink_names = set(self.graph.sink_tasks())
         sink_done: dict[str, dict[int, float]] = {s: {} for s in sink_names}
-        sources = set(self.graph.source_tasks())
         slips = [0]
         max_slip = [0.0]
 
@@ -271,7 +252,6 @@ class StaticExecutor:
         # Flat dispatch tables: schedule lookups and channel classification
         # compiled once, outside the per-iteration loop.
         flat = FlatSchedule(self.schedule)
-        plans = build_task_plans(self.graph)
         edge_channels = {
             (p, t.name): "+".join(
                 ch.name for ch in self.graph.channels_between(p, t.name)
@@ -350,19 +330,19 @@ class StaticExecutor:
                 )
             for proc, grant in grants:
                 procs[proc].release(grant)
-            plan = plans[pl.task]
-            for ch in plan.outputs:
+            agent = program[pl.task]
+            for ch in agent.outputs:
                 yield from hubs[ch].put(
-                    conns_out[pl.task][ch], k, {"ts": k}, size=item_sizes[ch]
+                    wiring.conns_out[pl.task][ch], k, {"ts": k}, size=item_sizes[ch]
                 )
-                collector = collector_conns.get(ch)
+                collector = wiring.collector(ch)
                 if collector is not None:
                     hubs[ch].try_get(collector, k)
                     hubs[ch].consume(collector, k)
-            if pl.task in sources:
+            if agent.is_source:
                 digitize_times[k] = sim.now
-            for ch in plan.stream_inputs:
-                hubs[ch].consume(conns_in[pl.task][ch], k)
+            for ch in agent.stream_inputs:
+                hubs[ch].consume(wiring.conns_in[pl.task][ch], k)
             if pl.task in sink_names:
                 sink_done[pl.task][k] = end
             done[(k, pl.task)].succeed(end)
@@ -375,11 +355,7 @@ class StaticExecutor:
 
         sim.run(check_deadlock=True)
 
-        completion: dict[int, float] = {}
-        if sink_done:
-            common = set.intersection(*(set(d) for d in sink_done.values()))
-            for ts in common:
-                completion[ts] = max(d[ts] for d in sink_done.values())
+        completion = completion_times(sink_done)
         if obs is not None:
             for ts in sorted(completion):
                 if ts in digitize_times:
@@ -446,7 +422,6 @@ class StaticExecutor:
                 "kernel_retries": res.kernel_retries,
                 "nodes": res.meta["nodes"],
                 "dp_plan": res.meta["dp_plan"],
-                "coalesce": res.meta["coalesce"],
                 "broker_ops": res.meta["broker_ops"],
                 "broker_roundtrips": res.meta["broker_roundtrips"],
             }

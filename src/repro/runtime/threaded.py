@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from repro.errors import ExecutorConfigError, ReproError
 from repro.graph.taskgraph import TaskGraph
-from repro.runtime.dispatch import build_task_plans
+from repro.runtime.dispatch import TaskProgram, completion_times, op_by_op
 from repro.state import State
 from repro.stm.threaded import ChannelPoisoned, ThreadedChannel
 
@@ -108,48 +108,42 @@ class ThreadedRuntime:
         self.op_timeout = op_timeout
         self.obs = obs
         self.analysis = analysis
+        self.program = TaskProgram(graph)
         for spec in graph.channels:
             if spec.static and spec.name not in self.static_inputs:
                 raise ExecutorConfigError(
                     f"static channel {spec.name!r} needs a value in static_inputs"
                 )
 
-    def run(self, timestamps: int, source_period: float = 0.0) -> ThreadedResult:
-        """Process ``timestamps`` frames in order; returns terminal outputs.
-
-        ``source_period`` adds a real sleep between source firings (useful
-        for demos; keep 0.0 in tests).
-        """
+    def run(self, timestamps: int) -> ThreadedResult:
+        """Process ``timestamps`` frames in order; returns terminal outputs."""
         if timestamps < 1:
             raise ExecutorConfigError(f"timestamps must be >= 1, got {timestamps}")
         obs = self.obs
         checker = self.analysis
+        program = self.program
+        timeout = self.op_timeout
         channels: dict[str, ThreadedChannel] = {
             spec.name: ThreadedChannel(
                 spec.name, capacity=spec.capacity, obs=obs, analysis=checker
             )
             for spec in self.graph.channels
         }
-        task_index = {t.name: i for i, t in enumerate(self.graph.tasks)}
-        # Static configuration channels are filled before any thread starts.
-        for name, value in self.static_inputs.items():
-            conn = channels[name].attach_output("-env-")
-            channels[name].put(conn, 0, value)
-
-        terminal = [
-            spec.name
-            for spec in self.graph.channels
-            if not spec.static and not self.graph.consumers(spec.name)
-            and self.graph.producers(spec.name)
-        ]
-        outputs: dict[str, dict[int, Any]] = {ch: {} for ch in terminal}
+        wiring = program.wire(
+            lambda ch, who: channels[ch].attach_input(who),
+            lambda ch, who: channels[ch].attach_output(who),
+            lambda ch, conn: channels[ch].put(conn, 0, self.static_inputs[ch]),
+        )
+        outputs: dict[str, dict[int, Any]] = {ch: {} for ch in program.terminal}
         errors: list[BaseException] = []
         errors_lock = threading.Lock()
         # Wall-clock capture, all relative to t0 (set just before threads
         # start; the closures only read it after starting).
         t0_box = [0.0]
         digitize_times: dict[int, float] = {}
-        completion_raw: dict[str, dict[int, float]] = {ch: {} for ch in terminal}
+        completion_raw: dict[str, dict[int, float]] = {
+            ch: {} for ch in program.terminal
+        }
         spans: list[tuple] = []
         timing_lock = threading.Lock()
 
@@ -159,93 +153,60 @@ class ThreadedRuntime:
             for ch in channels.values():
                 ch.poison()
 
-        # Attach every connection BEFORE any thread starts: reference-count
-        # GC considers only attached input connections, so a consumer that
-        # attached late could find its items already collected.
-        conns_in = {
-            t.name: {ch: channels[ch].attach_input(t.name) for ch in t.inputs}
-            for t in self.graph.tasks
-        }
-        conns_out = {
-            t.name: {ch: channels[ch].attach_output(t.name) for ch in t.outputs}
-            for t in self.graph.tasks
-        }
-        collector_conns = {ch: channels[ch].attach_input("-collector-") for ch in terminal}
+        def commit_for(agent):
+            ins = wiring.conns_in[agent.name]
+            outs = wiring.conns_out[agent.name]
 
-        plans = build_task_plans(self.graph)
+            def put(ch: str, ts: int, value: Any) -> None:
+                channels[ch].put(outs[ch], ts, value, timeout=timeout)
+                if agent.is_source:
+                    with timing_lock:
+                        digitize_times[ts] = max(
+                            digitize_times.get(ts, 0.0),
+                            _time.perf_counter() - t0_box[0],
+                        )
 
-        def task_body(task) -> None:
+            return op_by_op(
+                lambda ch, ts: channels[ch].get(ins[ch], ts, timeout=timeout)[1],
+                put,
+                lambda ch, ts: channels[ch].consume(ins[ch], ts),
+            )
+
+        def executor_for(agent):
+            task = agent.task
+
+            def execute(ts: int, inputs: dict) -> Any:
+                if task.compute is None:
+                    return {ch: inputs for ch in agent.outputs}
+                k0 = _time.perf_counter()
+                result = task.compute(self.state, inputs)
+                k1 = _time.perf_counter()
+                with timing_lock:
+                    spans.append((task.name, ts, k0 - t0_box[0],
+                                  k1 - t0_box[0], agent.index))
+                if obs is not None:
+                    obs.on_exec(task.name, k0, k1, proc=agent.index, timestamp=ts)
+                return result
+
+            return execute
+
+        def collector_for(agent):
+            (ch,) = agent.stream_inputs
+
+            def collect(ts: int, inputs: dict) -> dict:
+                outputs[ch][ts] = inputs[ch]
+                completion_raw[ch][ts] = _time.perf_counter() - t0_box[0]
+                return {}
+
+            return collect
+
+        def agent_body(agent) -> None:
+            run_frame = executor_for(agent) if agent.task else collector_for(agent)
             try:
-                ins = conns_in[task.name]
-                outs = conns_out[task.name]
-                plan = plans[task.name]
-                # Flat dispatch: channel classification and (channel, conn)
-                # pairs resolved once, outside the frame loop.
-                stream_pairs = [
-                    (ch, channels[ch], ins[ch]) for ch in plan.stream_inputs
-                ]
-                out_pairs = [(ch, channels[ch], outs[ch]) for ch in plan.outputs]
-                statics = {
-                    ch: channels[ch].get(ins[ch], 0, timeout=self.op_timeout)[1]
-                    for ch in plan.static_inputs
-                }
-                for ts in range(timestamps):
-                    if task.is_source and source_period > 0:
-                        _time.sleep(source_period)
-                    inputs = dict(statics)
-                    for ch, channel, conn in stream_pairs:
-                        _, value = channel.get(conn, ts, timeout=self.op_timeout)
-                        inputs[ch] = value
-                    if task.compute is not None:
-                        k0 = _time.perf_counter()
-                        result = task.compute(self.state, inputs)
-                        k1 = _time.perf_counter()
-                        with timing_lock:
-                            spans.append((task.name, ts, k0 - t0_box[0],
-                                          k1 - t0_box[0], task_index[task.name]))
-                        if obs is not None:
-                            obs.on_exec(
-                                task.name, k0, k1,
-                                proc=task_index[task.name], timestamp=ts,
-                            )
-                        if not isinstance(result, dict):
-                            raise ReproError(
-                                f"kernel of {task.name!r} returned "
-                                f"{type(result).__name__}, expected dict"
-                            )
-                    else:
-                        result = {ch: inputs for ch in plan.outputs}
-                    for ch, channel, conn in out_pairs:
-                        if ch not in result:
-                            raise ReproError(
-                                f"kernel of {task.name!r} produced no value for "
-                                f"channel {ch!r}"
-                            )
-                        channel.put(conn, ts, result[ch], timeout=self.op_timeout)
-                    if task.is_source:
-                        with timing_lock:
-                            digitize_times[ts] = max(
-                                digitize_times.get(ts, 0.0),
-                                _time.perf_counter() - t0_box[0],
-                            )
-                    for ch, channel, conn in stream_pairs:
-                        channel.consume(conn, ts)
+                agent.run(0, timestamps, commit_for(agent), run_frame)
             except ChannelPoisoned:
                 pass
             except BaseException as exc:  # noqa: BLE001 - reported to caller
-                record_error(exc)
-
-        def collector_body(ch_name: str) -> None:
-            try:
-                conn = collector_conns[ch_name]
-                for ts in range(timestamps):
-                    got_ts, value = channels[ch_name].get(conn, ts, timeout=self.op_timeout)
-                    outputs[ch_name][got_ts] = value
-                    completion_raw[ch_name][got_ts] = _time.perf_counter() - t0_box[0]
-                    channels[ch_name].consume(conn, got_ts)
-            except ChannelPoisoned:
-                pass
-            except BaseException as exc:  # noqa: BLE001
                 record_error(exc)
 
         # Fork/join happens-before edges for the race checker: the main
@@ -269,8 +230,7 @@ class ThreadedRuntime:
 
             return threading.Thread(target=wrapper, name=name, daemon=True)
 
-        threads = [spawn(f"task:{t.name}", task_body, t) for t in self.graph.tasks]
-        threads += [spawn(f"collect:{ch}", collector_body, ch) for ch in terminal]
+        threads = [spawn(f"agent:{a.name}", agent_body, a) for a in program.agents]
         t0 = t0_box[0] = _time.perf_counter()
         for th in threads:
             th.start()
@@ -288,17 +248,12 @@ class ThreadedRuntime:
             with end_lock:
                 for token in end_tokens:
                     checker.adopt(token)
-        completion: dict[int, float] = {}
-        if completion_raw:
-            common = set.intersection(*(set(d) for d in completion_raw.values()))
-            for ts in common:
-                completion[ts] = max(d[ts] for d in completion_raw.values())
         spans.sort(key=lambda s: s[2])
         return ThreadedResult(
             outputs=outputs,
             wall_time=wall,
             channel_stats={name: ch.stats for name, ch in channels.items()},
             digitize_times=dict(sorted(digitize_times.items())),
-            completion_times=completion,
+            completion_times=completion_times(completion_raw),
             spans=spans,
         )

@@ -22,7 +22,7 @@ appendix, Figures 7-8).  This package implements the full API:
   live (real-thread) runtime and examples.
 * :mod:`repro.stm.process` — the cross-process transport: a parent-side
   :class:`~repro.stm.process.ChannelBroker` owning real channels plus the
-  worker-side :class:`~repro.stm.process.ProcessChannel` proxy, with a
+  worker-side :class:`~repro.stm.process.StepBatch` round trip, with a
   shared-memory ring for array payloads.
 """
 

@@ -2,9 +2,10 @@
 
 :class:`FlatSchedule` must reproduce :meth:`PipelinedSchedule.instantiate`
 and ``proc_for`` exactly (same rotation arithmetic, same ordering), and
-:func:`build_task_plans` must agree with per-channel ``static`` queries —
-these equivalences are what lets every substrate dispatch through the
-compiled tables without a conformance risk.
+:class:`TaskProgram` must agree with per-channel ``static`` queries and
+group its per-timestamp ops into steps that replay them in order — these
+equivalences are what lets every substrate dispatch through the compiled
+tables without a conformance risk.
 """
 
 from __future__ import annotations
@@ -13,7 +14,15 @@ import pytest
 
 from repro.core.schedule import IterationSchedule, PipelinedSchedule, Placement
 from repro.graph.taskgraph import TaskGraph
-from repro.runtime.dispatch import FlatSchedule, build_task_plans
+from repro.runtime.dispatch import (
+    CONSUME,
+    GET,
+    PUT,
+    FlatSchedule,
+    TaskProgram,
+    collector_name,
+    completion_times,
+)
 
 
 def rotated_schedule() -> PipelinedSchedule:
@@ -83,6 +92,8 @@ class TestFlatSchedule:
 
 
 class TestTaskPlans:
+    """Each task's plan in the :class:`TaskProgram` (its :class:`Agent`)."""
+
     def graph(self) -> TaskGraph:
         from repro.graph.channel import ChannelSpec
         from repro.graph.task import Task
@@ -101,27 +112,78 @@ class TestTaskPlans:
 
     def test_classification_matches_graph(self):
         g = self.graph()
-        plans = build_task_plans(g)
-        assert set(plans) == {"SRC", "MID", "SINK"}
+        program = TaskProgram(g)
+        assert [a.name for a in program.tasks] == ["SRC", "MID", "SINK"]
         for task in g.tasks:
-            plan = plans[task.name]
-            assert plan.static_inputs == tuple(
+            agent = program[task.name]
+            assert agent.static_inputs == tuple(
                 ch for ch in task.inputs if g.channel(ch).static
             )
-            assert plan.stream_inputs == tuple(
+            assert agent.stream_inputs == tuple(
                 ch for ch in task.inputs if not g.channel(ch).static
             )
-            assert plan.outputs == tuple(task.outputs)
-            assert plan.is_source == task.is_source
+            assert agent.outputs == tuple(task.outputs)
+            assert agent.is_source == (task.name in g.source_tasks())
 
     def test_declared_order_preserved(self):
-        plans = build_task_plans(self.graph())
-        assert plans["MID"].static_inputs == ("cfg",)
-        assert plans["MID"].stream_inputs == ("frames",)
-        assert plans["SINK"].stream_inputs == ("masks", "frames")
+        program = TaskProgram(self.graph())
+        assert program["MID"].static_inputs == ("cfg",)
+        assert program["MID"].stream_inputs == ("frames",)
+        assert program["SINK"].stream_inputs == ("masks", "frames")
+        assert program["SINK"].frame_ops == (
+            (GET, "masks"), (GET, "frames"), (PUT, "out"),
+            (CONSUME, "masks"), (CONSUME, "frames"),
+        )
 
     def test_indices_are_graph_positions(self):
         g = self.graph()
-        plans = build_task_plans(g)
+        program = TaskProgram(g)
+        for i, agent in enumerate(program.agents):
+            assert agent.index == i
         for i, task in enumerate(g.tasks):
-            assert plans[task.name].index == i
+            assert program[task.name].index == i
+
+    def test_one_collector_per_terminal_channel(self):
+        program = TaskProgram(self.graph())
+        assert program.terminal == ("out",)
+        (collector,) = program.collectors
+        assert collector.name == collector_name("out")
+        assert collector.frame_ops == ((GET, "out"), (CONSUME, "out"))
+
+    def test_steps_replay_the_ops_in_order(self):
+        """Applied op by op, the step groups are statics, then every
+        frame's ops — and each step is [puts, consumes](ts-1) + gets(ts)."""
+        program = TaskProgram(self.graph())
+        for agent in program.agents:
+            steps = list(agent.steps(2, 5))
+            assert [ts for ts, _ops in steps] == [2, 3, 4, None]
+            flat = [op for _ts, ops in steps for op in ops]
+            statics = [(GET, ch, 0) for ch in agent.static_inputs]
+            assert flat == statics + [
+                (k, ch, ts) for ts in range(2, 5) for k, ch in agent.frame_ops
+            ]
+            for ts, ops in steps[1:-1]:
+                tail = [(k, ch, ts - 1) for k, ch in agent.frame_ops if k != GET]
+                gets = [(k, ch, ts) for k, ch in agent.frame_ops if k == GET]
+                assert list(ops) == tail + gets
+
+    def test_wire_fills_statics_then_attaches_every_agent(self):
+        program = TaskProgram(self.graph())
+        log = []
+        wiring = program.wire(
+            lambda ch, who: ("in", ch, who),
+            lambda ch, who: ("out", ch, who),
+            lambda ch, conn: log.append((ch, conn)),
+        )
+        assert log == [("cfg", ("out", "cfg", "-env-"))]
+        assert wiring.conns_in["MID"] == {
+            "frames": ("in", "frames", "MID"), "cfg": ("in", "cfg", "MID"),
+        }
+        assert wiring.conns_out["SRC"] == {"frames": ("out", "frames", "SRC")}
+        assert wiring.collector("out") == ("in", "out", collector_name("out"))
+        assert wiring.collector("masks") is None
+
+    def test_completion_is_the_last_sink_of_frames_all_sinks_finished(self):
+        done = {"a": {0: 1.0, 1: 2.0, 2: 3.0}, "b": {0: 1.5, 1: 1.0}}
+        assert completion_times(done) == {0: 1.5, 1: 2.0}
+        assert completion_times({}) == {}

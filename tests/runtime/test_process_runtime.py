@@ -85,41 +85,17 @@ class TestBasicRun:
 
 
 class TestCoalescing:
-    def test_defaults_on(self):
+    def test_one_roundtrip_per_program_step(self):
+        """Every broker round trip is one step of the program's frame
+        loop: the per-frame op group, statics first, a final flush."""
         rt = ProcessRuntime(chain_graph_live(), State(n_models=1),
-                            placement={"src": 0, "dbl": 1})
-        assert rt.coalesce is True
-
-    def test_env_var_turns_it_off(self, monkeypatch):
-        for value in ("0", "false", "off"):
-            monkeypatch.setenv("REPRO_COALESCE", value)
-            rt = ProcessRuntime(chain_graph_live(), State(n_models=1),
-                                placement={"src": 0, "dbl": 1})
-            assert rt.coalesce is False, value
-
-    def test_kwarg_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COALESCE", "0")
-        rt = ProcessRuntime(chain_graph_live(), State(n_models=1),
-                            placement={"src": 0, "dbl": 1}, coalesce=True)
-        assert rt.coalesce is True
-
-    def test_modes_agree_and_coalescing_saves_roundtrips(self):
-        results = {}
-        for coalesce in (True, False):
-            res = ProcessRuntime(
-                chain_graph_live(), State(n_models=1), op_timeout=30.0,
-                placement={"src": 0, "dbl": 1}, coalesce=coalesce,
-            ).run(5)
-            assert sorted(res.outputs["b"]) == list(range(5))
-            results[coalesce] = res
-        on, off = results[True], results[False]
-        for ts in range(5):
-            np.testing.assert_array_equal(on.outputs["b"][ts],
-                                          off.outputs["b"][ts])
-        assert on.channel_stats == off.channel_stats
-        assert on.meta["broker_roundtrips"] < off.meta["broker_roundtrips"]
-        assert "step" in on.meta["broker_ops"]
-        assert "step" not in off.meta["broker_ops"]
+                            op_timeout=30.0, placement={"src": 0, "dbl": 1})
+        res = rt.run(5)
+        assert sorted(res.outputs["b"]) == list(range(5))
+        steps = sum(1 for agent in rt.program.tasks
+                    for _ts, ops in agent.steps(0, 5) if ops)
+        assert res.meta["broker_roundtrips"] == steps
+        assert res.meta["broker_ops"]["step"] == steps
 
 
 class TestScheduleDriven:
@@ -196,6 +172,20 @@ class TestFaults:
         assert res.respawns == 1
         snap = obs.snapshot()
         assert snap["repro_failovers_total"]["series"][0]["value"] == 1
+
+    def test_reused_plan_injects_on_every_run(self):
+        """A run never consumes the caller's plan: the fired-exit filter
+        is local to the run, so a second run respawns again."""
+        events = (KernelFault("dbl", 2, "exit"),)
+        plan = ProcessFaultPlan(events=events, max_respawns=2)
+        for _ in range(2):
+            res = ProcessRuntime(
+                chain_graph_live(), State(n_models=1), op_timeout=30.0,
+                placement={"src": 0, "dbl": 1}, faults=plan,
+            ).run(4)
+            assert sorted(res.outputs["b"]) == list(range(4))
+            assert res.respawns == 1
+            assert plan.events == events
 
     def test_respawn_budget_exhaustion_raises(self):
         plan = ProcessFaultPlan(events=[KernelFault("dbl", 1, "exit")],

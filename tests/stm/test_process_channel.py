@@ -1,8 +1,8 @@
-"""Unit tests for the process-substrate STM transport (broker + proxy).
+"""Unit tests for the process-substrate STM transport (broker + steps).
 
 The broker's service thread owns real :class:`~repro.stm.channel.STMChannel`
-objects, so most semantics tests can run the worker-side
-:class:`~repro.stm.process.ProcessChannel` proxy in the parent process over
+objects, so most semantics tests can commit worker-side
+:class:`~repro.stm.process.StepBatch` steps from the parent process over
 an in-process :class:`~repro.stm.process.WorkerLink` — the wire protocol is
 exercised end to end without forking.  One test forks for real to cover the
 cross-process shared-memory path.
@@ -16,12 +16,12 @@ import numpy as np
 import pytest
 
 from repro.errors import ItemConsumed
-from repro.stm.channel import NEWEST
 from repro.stm.process import (
     SHM_THRESHOLD_BYTES,
     ChannelBroker,
     ProcessChannel,
     ShmRing,
+    StepBatch,
     WorkerLink,
     _mp_context,
     decode_value,
@@ -39,7 +39,7 @@ def _pinned_shm_threshold(monkeypatch):
 
 
 class Rig:
-    """One broker + one in-parent proxy link, with conns pre-attached."""
+    """One broker + one in-parent link over channel ``c``, conns pre-attached."""
 
     def __init__(self, capacity=None):
         self.broker = ChannelBroker({"c": capacity})
@@ -49,12 +49,33 @@ class Rig:
         self.broker.start()
         self.link = WorkerLink(1, self.broker.requests, replies)
         self.link.start()
-        self.chan = ProcessChannel("c", self.link)
+        self.chan = ProcessChannel("c")
+
+    def put(self, ts, value, timeout=5.0):
+        step(self.link, self.chan, puts=[(self.out, ts, value)], timeout=timeout)
+
+    def get(self, ts, timeout=5.0):
+        return step(self.link, self.chan, gets=[(self.inp, ts)], timeout=timeout)[0]
+
+    def consume(self, ts):
+        step(self.link, self.chan, consumes=[(self.inp, ts)])
 
     def close(self):
         self.link.stop()
         self.chan.close()
         self.broker.stop()
+
+
+def step(link, chan, *, puts=(), gets=(), consumes=(), timeout=5.0):
+    """Commit one step on ``chan``; returns its gets' ``(ts, value)``."""
+    batch = StepBatch(link)
+    for conn, ts in consumes:
+        batch.consume(chan, conn, ts)
+    for conn, ts, value in puts:
+        batch.put(chan, conn, ts, value)
+    for conn, ts in gets:
+        batch.get(chan, conn, ts)
+    return batch.commit(timeout=timeout)
 
 
 @pytest.fixture
@@ -107,70 +128,52 @@ class TestEncoding:
 
 class TestProxyRoundtrip:
     def test_put_get_consume(self, rig):
-        rig.chan.put(rig.out, 0, {"v": 7})
-        ts, value = rig.chan.get(rig.inp, 0, timeout=5.0)
-        assert (ts, value) == (0, {"v": 7})
-        rig.chan.consume(rig.inp, 0)
+        rig.put(0, {"v": 7})
+        assert rig.get(0) == (0, {"v": 7})
+        rig.consume(0)
         stats = rig.broker.stats()["c"]
         assert stats["puts"] == 1
         assert stats["consumed"] == 1
         assert stats["collected"] == 1
 
-    def test_newest_wildcard(self, rig):
-        rig.chan.put(rig.out, 0, "a")
-        rig.chan.put(rig.out, 3, "b")
-        assert rig.chan.get(rig.inp, NEWEST, timeout=5.0) == (3, "b")
-
-    def test_try_get_miss_on_empty(self, rig):
-        assert rig.chan.try_get(rig.inp, 0) is None
-
-    def test_try_get_born_consumed_is_miss(self, rig):
-        """Same rule as ThreadedChannel / hub: consumed ts is a miss."""
-        rig.chan.put(rig.out, 0, "x")
-        rig.chan.get(rig.inp, 0, timeout=5.0)
-        rig.chan.consume(rig.inp, 0)
-        assert rig.chan.try_get(rig.inp, 0) is None
-
     def test_get_of_consumed_ts_raises(self, rig):
         # A second input conn keeps the item alive past conn 1's consume,
         # so the blocking get sees "consumed" (an error), not "missing".
         rig.broker.attach_input("c", "other")
-        rig.chan.put(rig.out, 0, "x")
-        rig.chan.get(rig.inp, 0, timeout=5.0)
-        rig.chan.consume(rig.inp, 0)
+        rig.put(0, "x")
+        rig.get(0)
+        rig.consume(0)
         with pytest.raises(ItemConsumed):
-            rig.chan.get(rig.inp, 0, timeout=1.0)
+            rig.get(0, timeout=1.0)
 
     def test_blocked_get_unblocks_on_put(self, rig, wait_until):
         got = []
-        t = threading.Thread(
-            target=lambda: got.append(rig.chan.get(rig.inp, 0, timeout=5.0))
-        )
+        t = threading.Thread(target=lambda: got.append(rig.get(0)))
         t.start()
-        # The waiter parks inside the broker once the request arrives.
-        wait_until(lambda: rig.broker.channels["c"].waiters)
+        # The step parks inside the broker once the request arrives.
+        wait_until(lambda: rig.broker._steps)
         assert not got
-        rig.chan.put(rig.out, 0, "late")
+        rig.put(0, "late")
         t.join(timeout=5.0)
         assert got == [(0, "late")]
 
     def test_get_timeout(self, rig):
         with pytest.raises(TimeoutError):
-            rig.chan.get(rig.inp, 0, timeout=0.05)
+            rig.get(0, timeout=0.05)
 
     def test_shm_payload_roundtrip(self, rig):
         arr = np.random.default_rng(0).random((64, 64))
-        rig.chan.put(rig.out, 0, arr)
-        ts, out = rig.chan.get(rig.inp, 0, timeout=5.0)
+        rig.put(0, arr)
+        ts, out = rig.get(0)
         np.testing.assert_array_equal(out, arr)
-        rig.chan.consume(rig.inp, 0)
+        rig.consume(0)
 
     def test_put_replies_feed_ring_recycling(self, rig):
         for ts in range(6):
-            rig.chan.put(rig.out, ts, np.zeros((64, 64)))
-            rig.chan.get(rig.inp, ts, timeout=5.0)
-            rig.chan.consume(rig.inp, ts)
-        # Each put reply returns the previously collected timestamps, so
+            rig.put(ts, np.zeros((64, 64)))
+            rig.get(ts)
+            rig.consume(ts)
+        # Each step reply returns the previously collected timestamps, so
         # the producer-side ring reuses segments instead of growing.
         assert rig.chan._ring.recycled >= 4
         assert rig.chan._ring.created <= 2
@@ -178,32 +181,28 @@ class TestProxyRoundtrip:
 
 class TestCapacityAndPoison:
     def test_put_blocks_then_unblocks(self, bounded, wait_until):
-        bounded.chan.put(bounded.out, 0, "a")
+        bounded.put(0, "a")
         done = []
-        t = threading.Thread(
-            target=lambda: done.append(
-                bounded.chan.put(bounded.out, 1, "b", timeout=5.0)
-            )
-        )
+        t = threading.Thread(target=lambda: done.append(bounded.put(1, "b")))
         t.start()
-        wait_until(lambda: bounded.broker.channels["c"].waiters)
+        wait_until(lambda: bounded.broker._steps)
         assert not done
-        bounded.chan.get(bounded.inp, 0, timeout=5.0)
-        bounded.chan.consume(bounded.inp, 0)
+        bounded.get(0)
+        bounded.consume(0)
         t.join(timeout=5.0)
         assert len(done) == 1
 
     def test_put_timeout_when_full(self, bounded):
-        bounded.chan.put(bounded.out, 0, "a")
+        bounded.put(0, "a")
         with pytest.raises(TimeoutError):
-            bounded.chan.put(bounded.out, 1, "b", timeout=0.05)
+            bounded.put(1, "b", timeout=0.05)
 
     def test_poison_wakes_blocked_getter(self, rig):
         seen = []
 
         def getter():
             try:
-                rig.chan.get(rig.inp, 0, timeout=5.0)
+                rig.get(0)
             except ChannelPoisoned:
                 seen.append("poisoned")
 
@@ -216,15 +215,16 @@ class TestCapacityAndPoison:
     def test_operations_after_poison_raise(self, rig):
         rig.broker.poison_all()
         with pytest.raises(ChannelPoisoned):
-            rig.chan.put(rig.out, 0, "x")
+            rig.put(0, "x")
 
 
 def _child_producer(requests, replies, conn_out):
     link = WorkerLink(7, requests, replies)
     link.start()
-    chan = ProcessChannel("c", link)
+    chan = ProcessChannel("c")
     for ts in range(3):
-        chan.put(conn_out, ts, np.full((64, 64), float(ts)), timeout=10.0)
+        step(link, chan, puts=[(conn_out, ts, np.full((64, 64), float(ts)))],
+             timeout=10.0)
     link.notify("done", {})
     link.stop()
     import os
@@ -251,12 +251,13 @@ class TestCrossProcess:
                 args=(broker.requests, child_replies, conn_out),
             )
             p.start()
-            chan = ProcessChannel("c", link)
+            chan = ProcessChannel("c")
             for ts in range(3):
-                got_ts, val = chan.get(conn_in, ts, timeout=10.0)
+                [(got_ts, val)] = step(link, chan, gets=[(conn_in, ts)],
+                                       timeout=10.0)
                 assert got_ts == ts
                 assert val[0, 0] == float(ts)
-                chan.consume(conn_in, ts)
+                step(link, chan, consumes=[(conn_in, ts)])
             p.join(10.0)
             assert p.exitcode == 0
             stats = broker.stats()["c"]

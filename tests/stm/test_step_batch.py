@@ -1,11 +1,10 @@
-"""Unit tests for broker round-trip coalescing and shm calibration.
+"""Unit tests for the broker's step protocol and shm calibration.
 
 The ``step`` op batches one frame's consumes + puts + gets into a single
-broker request.  Its contract: byte-identical STM effects to issuing the
-ops one by one (same counters, same errors), with consumes applied
-immediately on first dispatch — even while the step's puts or gets are
-parked — so coalescing can never withhold capacity and deadlock a
-bounded pipeline.
+broker request.  Its contract: the STM effects of applying the ops one
+by one (same counters, same errors), with consumes applied immediately
+on first dispatch — even while the step's puts or gets are parked — so
+coalescing can never withhold capacity and deadlock a bounded pipeline.
 """
 
 from __future__ import annotations
@@ -49,10 +48,26 @@ class Rig:
         self.broker.start()
         self.link = WorkerLink(1, self.broker.requests, replies)
         self.link.start()
-        self.chans = {ch: ProcessChannel(ch, self.link) for ch in ("a", "b")}
+        self.chans = {ch: ProcessChannel(ch) for ch in ("a", "b")}
 
     def batch(self, replay=False) -> StepBatch:
         return StepBatch(self.link, replay=replay)
+
+    # One-op steps, for setting up the state a test then probes.
+    def put(self, ch, ts, value):
+        batch = self.batch()
+        batch.put(self.chans[ch], self.out[ch], ts, value)
+        batch.commit(timeout=5.0)
+
+    def get(self, ch, ts):
+        batch = self.batch()
+        batch.get(self.chans[ch], self.inp[ch], ts)
+        return batch.commit(timeout=5.0)[0]
+
+    def consume(self, ch, ts):
+        batch = self.batch()
+        batch.consume(self.chans[ch], self.inp[ch], ts)
+        batch.commit(timeout=5.0)
 
     def close(self):
         self.link.stop()
@@ -123,15 +138,15 @@ class TestStepSemantics:
         t.start()
         wait_until(lambda: rig.broker._steps)
         assert not got
-        rig.chans["a"].put(rig.out["a"], 0, "late")
+        rig.put("a", 0, "late")
         t.join(timeout=5.0)
         assert got == [(0, "late")]
 
     def test_consumes_apply_while_step_is_parked(self, rig, wait_until):
         """The deadlock-freedom guarantee: a parked step's consumes have
         already landed, releasing items (and capacity) to other tasks."""
-        rig.chans["a"].put(rig.out["a"], 0, "x")
-        rig.chans["a"].get(rig.inp["a"], 0, timeout=5.0)
+        rig.put("a", 0, "x")
+        rig.get("a", 0)
 
         def committer():
             batch = rig.batch()
@@ -144,14 +159,14 @@ class TestStepSemantics:
         wait_until(lambda: rig.broker._steps)
         # Step is parked on the get, but the consume already happened.
         assert rig.broker.stats()["a"]["consumed"] == 1
-        rig.chans["b"].put(rig.out["b"], 0, "unblock")
+        rig.put("b", 0, "unblock")
         t.join(timeout=5.0)
 
     def test_self_unblocking_put_after_consume(self, bounded):
         """One step both frees capacity-1 channel ``a`` (consume ts=0)
-        and refills it (put ts=1) — the per-op loop's frame pattern."""
-        bounded.chans["a"].put(bounded.out["a"], 0, "v0")
-        bounded.chans["a"].get(bounded.inp["a"], 0, timeout=5.0)
+        and refills it (put ts=1) — the frame loop's step pattern."""
+        bounded.put("a", 0, "v0")
+        bounded.get("a", 0)
         batch = bounded.batch()
         batch.consume(bounded.chans["a"], bounded.inp["a"], 0)
         batch.put(bounded.chans["a"], bounded.out["a"], 1, "v1")
@@ -191,7 +206,7 @@ class TestStepSemantics:
         assert seen == ["poisoned"]
 
     def test_duplicate_put_raises_without_replay(self, rig):
-        rig.chans["a"].put(rig.out["a"], 0, "x")
+        rig.put("a", 0, "x")
         batch = rig.batch()
         batch.put(rig.chans["a"], rig.out["a"], 0, "again")
         with pytest.raises(DuplicateTimestamp):
@@ -200,7 +215,7 @@ class TestStepSemantics:
     def test_duplicate_put_idempotent_with_replay(self, rig):
         """Respawned workers replay their frame steps; puts must land
         exactly once."""
-        rig.chans["a"].put(rig.out["a"], 0, "x")
+        rig.put("a", 0, "x")
         batch = rig.batch(replay=True)
         batch.put(rig.chans["a"], rig.out["a"], 0, "x")
         batch.get(rig.chans["a"], rig.inp["a"], 0)
@@ -211,9 +226,9 @@ class TestStepSemantics:
         # Second input conn keeps the item alive past cons's consume, so
         # the step's get sees "consumed" (an error), not "missing".
         rig.broker.attach_input("a", "other")
-        rig.chans["a"].put(rig.out["a"], 0, "x")
-        rig.chans["a"].get(rig.inp["a"], 0, timeout=5.0)
-        rig.chans["a"].consume(rig.inp["a"], 0)
+        rig.put("a", 0, "x")
+        rig.get("a", 0)
+        rig.consume("a", 0)
         batch = rig.batch()
         batch.get(rig.chans["a"], rig.inp["a"], 0)
         with pytest.raises(ItemConsumed):
@@ -221,7 +236,7 @@ class TestStepSemantics:
 
     def test_freed_feed_recycles_shm_segments(self, rig):
         """Step replies carry the collected-timestamp feed, so producer
-        rings reuse segments exactly like per-op put replies."""
+        rings reuse segments instead of growing."""
         arr = np.zeros((64, 64))
         for ts in range(6):
             batch = rig.batch()
