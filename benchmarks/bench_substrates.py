@@ -131,9 +131,10 @@ def test_substrate_scaling_ladder():
     """Threaded vs. process substrate across a 1/2/4(/8)-worker ladder.
 
     Each rung fans T4 over ``w`` workers; on the process substrate the
-    chunks execute on a real process pool, so with enough cores the dp4
-    rung must beat the GIL-serialized threaded runtime by > 1.5x
-    wall-clock.  T4's compute is scaled (``t4_work_scale``) so its
+    node worker runs chunk 0 and ``w - 1`` helper processes it forked run
+    the rest (a rung whose chunks did not run in ``w`` distinct processes
+    fails, on any host), so with enough cores the dp4 rung must beat the
+    GIL-serialized threaded runtime by > 1.5x wall-clock.  T4's compute is scaled (``t4_work_scale``) so its
     cost/byte ratio matches the paper's Table 1 hardware — vanilla
     vectorized NumPy finishes the scan in ~1 ms, where transport overhead
     would measure nothing.  The 8-worker rung only runs on hosts with
@@ -174,6 +175,13 @@ def test_substrate_scaling_ladder():
         if substrate == "process":
             row["broker_roundtrips"] = result.meta["broker_roundtrips"]
             row["broker_ops"] = result.meta["broker_ops"]
+            ran = result.meta["dp_executed"].get("T4")
+            if ran is not None:
+                row["dp_executed"] = {
+                    "chunk_runs": [list(run) for run in ran["chunks"]],
+                    "processes": len(set(ran["chunk_pids"])),
+                    "decision": ran["decision"],
+                }
         return row, result.meta["outputs"]["model_locations"]
 
     # One GIL-serialized baseline: thread wall time is width-insensitive.
@@ -190,6 +198,12 @@ def test_substrate_scaling_ladder():
         row, p_out = run_once("process", width)
         for ts in range(frames):  # same schedule family, same answers
             assert t_out[ts] == p_out[ts], (width, ts)
+        if width > 1:
+            # Frame 0 times the serial kernel; every later frame must
+            # have run its chunks in ``width`` distinct processes.
+            ran = row["dp_executed"]
+            assert ran["processes"] == width, (width, ran)
+            assert ran["chunk_runs"] == [[0, 0, 1], [1, frames - 1, width]], (width, ran)
         row["speedup_over_threaded"] = (
             threaded["runtime_wall_s"] / row["runtime_wall_s"]
         )
@@ -205,7 +219,8 @@ def test_substrate_scaling_ladder():
             f"threaded={threaded['runtime_wall_s']:.2f}s "
             f"process={row['runtime_wall_s']:.2f}s "
             f"speedup={row['speedup_over_threaded']:.2f}x "
-            f"roundtrips={row['broker_roundtrips']}"
+            f"roundtrips={row['broker_roundtrips']} "
+            f"dp processes={row.get('dp_executed', {}).get('processes', 1)}"
         )
 
     ran = [w for w, row in ladder.items() if "speedup_over_threaded" in row]

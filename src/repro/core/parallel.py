@@ -12,10 +12,11 @@ Determinism is the contract: ``solve_many`` executes the *same* code path
 processes, and returns results in request order — so a table built with
 ``workers=8`` serializes bit-identically to one built with ``workers=1``.
 
-Fallbacks are graceful: ``workers=1`` (or a single request) never spawns
-a pool; a platform without the ``fork`` start method, or a pool that
-fails to start or breaks mid-flight, degrades to the in-process path
-rather than erroring out.
+Fallbacks are graceful but loud: ``workers=1`` (or a single request)
+never spawns a pool; a platform without the ``fork`` start method, or a
+pool that fails to start or breaks mid-flight, degrades to the
+in-process path rather than erroring out, and records the event as a
+``site="solve_many"`` fallback (:mod:`repro.fallbacks`).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from repro.core.optimal import (
 )
 from repro.core.schedule import IterationSchedule
 from repro.errors import InfeasibleSchedule, ReproError, ScheduleError
+from repro.fallbacks import record_fallback
 from repro.graph.taskgraph import TaskGraph
 from repro.sim.cluster import ClusterSpec
 from repro.sim.network import CommModel
@@ -305,6 +307,16 @@ def _run_in_process(
     return out
 
 
+def _fall_back_in_process(requests: Sequence[SolveRequest],
+                          return_exceptions: bool, exc: BaseException) -> list:
+    """The in-process path after the pool failed, counted as a fallback."""
+    record_fallback(
+        "solve_many",
+        f"{len(requests)} requests ran in-process: {type(exc).__name__}: {exc}",
+    )
+    return _run_in_process(requests, return_exceptions)
+
+
 def solve_many(
     requests: Sequence[SolveRequest],
     workers: Optional[int] = None,
@@ -345,8 +357,8 @@ def solve_many(
         return _run_in_process(reqs, return_exceptions)
     try:
         ctx = multiprocessing.get_context(start_method or "fork")
-    except ValueError:  # pragma: no cover - platform without the method
-        return _run_in_process(reqs, return_exceptions)
+    except ValueError as exc:  # pragma: no cover - platform without the method
+        return _fall_back_in_process(reqs, return_exceptions, exc)
     n_workers = min(workers, len(reqs))
     # Coalesced dispatch: map() ships requests to the pool in chunks, so
     # a big sweep (every state of a StateSpace, every degraded shape)
@@ -366,7 +378,7 @@ def solve_many(
             return out
     except ReproError:
         raise
-    except Exception:  # pragma: no cover - pool-level failure
+    except Exception as exc:
         # BrokenProcessPool, pickling trouble, fork refusal under an
         # exotic runtime: the work itself is fine, so do it here instead.
-        return _run_in_process(reqs, return_exceptions)
+        return _fall_back_in_process(reqs, return_exceptions, exc)

@@ -168,6 +168,9 @@ class Observability:
             "Lazy schedule-table lookups, by outcome",
             ("kind",),
         )
+        self._fallbacks = r.counter(
+            "repro_fallbacks_total", "Fallbacks to a degraded path", ("site",)
+        )
         # Label resolution goes through the registry lock; the hooks run on
         # every task execution and STM operation, so resolved children are
         # memoized here (benign race: duplicate lookups return the same
@@ -300,6 +303,10 @@ class Observability:
     def on_lazy(self, kind: str) -> None:
         """One lazy-table lookup outcome: ``hit`` / ``miss`` / ``prefill``."""
         self._approx_lazy.labels(kind).inc()
+
+    def on_fallback(self, site: str, detail: str = "") -> None:
+        """A degraded path ran (see :mod:`repro.fallbacks`)."""
+        self._fallbacks.labels(site).inc()
 
     # -- faults ---------------------------------------------------------------
 

@@ -17,8 +17,9 @@
 * :mod:`repro.runtime.threaded` — the live runtime running real kernels on
   real Python threads over :class:`~repro.stm.threaded.ThreadedChannel`.
 * :mod:`repro.runtime.process` — the live runtime running real kernels on
-  worker *processes* (one per scheduled cluster node, chunk pools for
-  data-parallel variants) over the :class:`~repro.stm.process.ChannelBroker`.
+  worker *processes* (one per scheduled cluster node, plus chunk helpers
+  the node worker forks for data-parallel variants measured to pay) over
+  the :class:`~repro.stm.process.ChannelBroker`.
 """
 
 from repro.runtime.result import ExecutionResult

@@ -13,9 +13,14 @@ rung between the simulator and real hardware:
   :class:`~repro.stm.process.StepBatch` round trip — STM items cross
   nodes through the parent's :class:`~repro.stm.process.ChannelBroker`
   (shared-memory transport for array payloads, pickle otherwise);
-* a task placed with a data-parallel variant (``dp4``) fans its chunks
-  out over the node's own process pool — the paper's FP/MP
-  decompositions finally execute concurrently;
+* a task placed with a data-parallel variant (``dp4``) runs its serial
+  kernel on the first frame and times it; when splitting would save
+  more than one IPC round trip (the worker's fastest measured broker
+  step), the node worker forks ``width - 1`` chunk helpers it owns and
+  every later frame is Figure 9's split: the agent thread runs chunk 0,
+  the helpers the rest over plain pipes, ``compute_join`` merges.  What
+  ran, and why, is ``meta["dp_executed"]``; a planned dp task that never
+  split is a counted fallback (:mod:`repro.fallbacks`);
 * ``obs=`` instrumentation keeps working: channel traffic is observed at
   the broker, kernel spans are buffered per worker and merged into the
   bundle at join;
@@ -30,6 +35,7 @@ rung between the simulator and real hardware:
 from __future__ import annotations
 
 import os
+import signal
 import threading
 import time as _time
 import traceback
@@ -40,6 +46,7 @@ from repro.core.schedule import PipelinedSchedule
 from repro.errors import ReproError
 from repro.graph.task import Task
 from repro.graph.taskgraph import TaskGraph
+from repro.fallbacks import record_fallback
 from repro.runtime.dispatch import (
     GET,
     PUT,
@@ -178,19 +185,190 @@ class _WorkerSpec:
     t0: float
 
 
-#: Chunkable tasks of THIS worker, read by forked pool children.
-_CHUNK_TASKS: dict[str, Task] = {}
+def _chunk_helper_main(conn, state: State, tasks: dict[str, Task]) -> None:
+    """Body of one chunk helper, in the child a node worker forked; never
+    returns.
+
+    Serves ``(task, inputs, chunk_index, n_chunks)`` requests until its
+    pipe reaches EOF: the worker closed it, exited or died.  A chunk
+    kernel's exception travels back as a value.  Every path ends in
+    ``os._exit``, so no exception ever unwinds into the forked copy of
+    the calling agent thread's stack.  The fork happened in a
+    multi-threaded worker, so the child touches nothing the other
+    threads may have held (queues, their locks, logging): only its pipe
+    and the chunk kernels.
+    """
+    code = 1
+    try:
+        # Drop every other inherited descriptor: pipe ends of sibling
+        # helpers (whose EOF must follow the worker's death, not this
+        # helper's), the broker queues and the worker's exit sentinel.
+        fd = conn.fileno()
+        os.closerange(3, fd)
+        os.closerange(fd + 1, os.sysconf("SC_OPEN_MAX"))
+        while True:
+            try:
+                name, inputs, index, n_chunks = conn.recv()
+            except EOFError:
+                code = 0
+                break
+            try:
+                reply = (True, tasks[name].compute_chunk(state, inputs, index,
+                                                         n_chunks))
+            except BaseException:  # noqa: BLE001 - shipped to the worker
+                reply = (False, traceback.format_exc())
+            conn.send(reply)
+    finally:
+        os._exit(code)
 
 
-def _exec_chunk(task_name: str, state: State, inputs: dict,
-                chunk_index: int, n_chunks: int):
-    """Pool trampoline: run one data-parallel chunk of a task's kernel."""
-    task = _CHUNK_TASKS[task_name]
-    return task.compute_chunk(state, inputs, chunk_index, n_chunks)
+def _fork_chunk_helper(state: State, tasks: dict[str, Task]) -> tuple[int, Any]:
+    """Fork one chunk helper: ``(pid, the worker's end of its pipe)``."""
+    from multiprocessing import Pipe
+
+    mine, theirs = Pipe()
+    try:
+        pid = os.fork()
+    except OSError as exc:
+        mine.close()
+        theirs.close()
+        raise ReproError(f"cannot start a chunk helper: {exc}") from None
+    if pid == 0:
+        _chunk_helper_main(theirs, state, tasks)
+    theirs.close()
+    return pid, mine
 
 
-def _pool_warmup() -> int:
-    return os.getpid()
+class _ChunkedTask:
+    """One dp-planned task of a node worker: Figure 9's split and join.
+
+    The first frame runs the serial kernel and times it.  Fanning out
+    saves ``(width - 1) / width`` of that time and costs at least one IPC
+    round trip per frame, so the task fans out iff the saving exceeds
+    the fastest broker step round trip the worker has measured.  Only
+    then are ``width - 1`` helpers forked; the calling agent thread is
+    the splitter and runs chunk 0 itself, the helpers run the rest, and
+    ``compute_join`` merges the partials.  The decision is taken once
+    per worker and reported, with what ran, by :meth:`record`.
+    """
+
+    def __init__(self, task: Task, width: int, state: State, link: WorkerLink,
+                 tasks: dict[str, Task], timeout: float) -> None:
+        self.task = task
+        self.width = width
+        self.state = state
+        self.link = link
+        self.tasks = tasks
+        self.timeout = timeout
+        self.decision: Optional[dict] = None
+        self.serial_s: Optional[float] = None
+        self.helpers: list[tuple[int, Any]] = []
+        self.helper_pids: list[int] = []
+        self.chunks: dict[int, int] = {}
+        self.broken: Optional[str] = None
+
+    def __call__(self, inputs: dict, ts: int) -> dict:
+        if self.broken is not None:
+            raise ReproError(self.broken)
+        if self.decision is not None and self.decision["fan_out"]:
+            out = self._fan_out(inputs)
+            self.chunks[ts] = self.width
+            return out
+        t0 = _time.perf_counter()
+        out = self.task.compute(self.state, inputs)
+        if self.serial_s is None:
+            self.serial_s = _time.perf_counter() - t0
+        self.chunks[ts] = 1
+        if (self.decision is None and self.task.compute_chunk is not None
+                and self.link.roundtrip is not None):
+            self._decide(self.link.roundtrip)
+        return out
+
+    def _decide(self, roundtrip: float) -> None:
+        fan_out = self.serial_s * (self.width - 1) / self.width > roundtrip
+        if fan_out:
+            try:
+                for _ in range(self.width - 1):
+                    pid, conn = _fork_chunk_helper(self.state, self.tasks)
+                    self.helpers.append((pid, conn))
+                    self.helper_pids.append(pid)
+            except ReproError as exc:
+                # Fewer helpers than chunks would drop chunks: fail loudly.
+                self.close(kill=True)
+                self.broken = f"{self.task.name}: {exc}"
+                raise ReproError(self.broken) from None
+        self.decision = {"serial_s": self.serial_s, "roundtrip_s": roundtrip,
+                         "fan_out": fan_out}
+
+    def _fan_out(self, inputs: dict) -> dict:
+        name, n = self.task.name, self.width
+        try:
+            for i, (_pid, conn) in enumerate(self.helpers, start=1):
+                conn.send((name, inputs, i, n))
+            try:
+                partials = [self.task.compute_chunk(self.state, inputs, 0, n)]
+                failure = None
+            except Exception:  # noqa: BLE001 - after the helpers drain
+                partials, failure = [], f"chunk 0 in the worker:\n{traceback.format_exc()}"
+            for i, (pid, conn) in enumerate(self.helpers, start=1):
+                if not conn.poll(self.timeout):
+                    raise TimeoutError(f"chunk helper {pid} gave no result "
+                                       f"within {self.timeout} s")
+                ok, value = conn.recv()
+                if ok:
+                    partials.append(value)
+                elif failure is None:
+                    failure = f"chunk {i} in helper {pid}:\n{value}"
+        except (OSError, EOFError, TimeoutError) as exc:
+            # A lost helper leaves its pipe out of step: retire them all.
+            self.close(kill=True)
+            self.broken = f"{name}: chunk helper lost ({type(exc).__name__}: {exc})"
+            raise ReproError(self.broken) from None
+        if failure is not None:
+            raise ReproError(f"{name}: chunk kernel failed, {failure}")
+        return self.task.compute_join(self.state, inputs, partials)
+
+    def close(self, kill: bool = False) -> None:
+        """Close every helper's pipe (EOF ends it) and reap it; ``kill``
+        first stops helpers that may be stuck in a kernel."""
+        helpers, self.helpers = self.helpers, []
+        for pid, conn in helpers:
+            conn.close()
+            if kill:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+        for pid, _conn in helpers:
+            os.waitpid(pid, 0)
+
+    def record(self) -> dict:
+        """What ran, for ``meta["dp_executed"]``."""
+        fanned = any(n > 1 for n in self.chunks.values())
+        return {
+            "planned": self.width,
+            "chunks": dict(self.chunks),
+            "chunk_pids": [os.getpid(), *self.helper_pids] if fanned else [],
+            "helper_pids": list(self.helper_pids),
+            "worker_pid": os.getpid(),
+            "decision": self.decision,
+        }
+
+
+def _frame_runs(chunks: dict[int, int]) -> list[tuple[int, int, int]]:
+    """``{ts: n_chunks}`` as ``(first_ts, last_ts, n_chunks)`` runs.
+
+    Results are kept per run by callers such as the benchmark, so a
+    record must not grow with the frame count.
+    """
+    runs: list[tuple[int, int, int]] = []
+    for ts in sorted(chunks):
+        n = chunks[ts]
+        if runs and runs[-1][2] == n and runs[-1][1] == ts - 1:
+            runs[-1] = (runs[-1][0], ts, n)
+        else:
+            runs.append((ts, ts, n))
+    return runs
 
 
 def _fail_stop(requests) -> None:
@@ -216,34 +394,18 @@ def _fail_stop(requests) -> None:
 def _worker_main(spec: _WorkerSpec) -> None:
     """Entry point of one node worker (runs in the forked child)."""
     link = WorkerLink(spec.worker_id, spec.requests, spec.replies)
-    pool = None
-    # The chunk pool must fork while this process is still single-threaded
-    # (forking with live threads can inherit held locks).  Warmup submits
-    # force the pool children into existence before any task thread starts.
-    chunked = [
-        a.task for a in spec.agents
-        if a.task.compute_chunk is not None and spec.dp_plan.get(a.name, (1,))[0] > 1
-    ]
-    if chunked:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        for t in chunked:
-            _CHUNK_TASKS[t.name] = t
-        width = max(spec.dp_plan[t.name][0] for t in chunked)
-        try:
-            ctx = multiprocessing.get_context("fork")
-            pool = ProcessPoolExecutor(max_workers=width, mp_context=ctx)
-            for f in [pool.submit(_pool_warmup) for _ in range(width)]:
-                f.result(timeout=60)
-        except Exception:  # pragma: no cover - no fork / broken pool
-            pool = None  # chunked tasks fall back to their serial kernel
     link.start()
+    tasks = {a.name: a.task for a in spec.agents}
+    chunked = {
+        name: _ChunkedTask(tasks[name], width, spec.state, link, tasks,
+                           spec.op_timeout)
+        for name, (width, _variant, _procs) in spec.dp_plan.items()
+        if width > 1 and tasks[name].compute is not None
+    }
 
     spans: list[tuple] = []
     retries = [0]
-    errors: list[str] = []
-    errors_lock = threading.Lock()
+    failed = threading.Event()
     fired: set[tuple[str, int]] = set()
 
     def invoke_kernel(task: Task, inputs: dict, ts: int) -> dict:
@@ -268,19 +430,9 @@ def _worker_main(spec: _WorkerSpec) -> None:
                     raise ReproError(
                         f"injected kernel fault: {task.name} at ts={ts}"
                     )
-                workers, _label, _procs = spec.dp_plan.get(
-                    task.name, (1, "serial", ())
-                )
-                if workers > 1 and task.compute_chunk is not None and pool is not None:
-                    futures = [
-                        pool.submit(_exec_chunk, task.name, spec.state, inputs,
-                                    i, workers)
-                        for i in range(workers)
-                    ]
-                    partials = [f.result(timeout=spec.op_timeout) for f in futures]
-                    if task.compute_join is not None:
-                        return task.compute_join(spec.state, inputs, partials)
-                    return partials[-1]
+                runner = chunked.get(task.name)
+                if runner is not None:
+                    return runner(inputs, ts)
                 return task.compute(spec.state, inputs)
             except ReproError:
                 if attempt + 1 >= attempts:
@@ -333,8 +485,10 @@ def _worker_main(spec: _WorkerSpec) -> None:
         except ChannelPoisoned:
             pass
         except BaseException:  # noqa: BLE001 - shipped to the parent
-            with errors_lock:
-                errors.append(traceback.format_exc())
+            # Report now: the broker poisons every channel, so the node's
+            # other agents stop instead of waiting out their timeouts.
+            failed.set()
+            link.notify("fatal", traceback.format_exc())
 
     threads = [
         threading.Thread(target=agent_body, args=(a,), name=f"agent:{a.name}",
@@ -345,10 +499,9 @@ def _worker_main(spec: _WorkerSpec) -> None:
         th.start()
     for th in threads:
         th.join()
-    if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
-    if errors:
-        link.notify("fatal", errors[0])
+    for runner in chunked.values():
+        runner.close()
+    if failed.is_set():
         exitcode = 1
     else:
         link.notify("done", {
@@ -356,6 +509,7 @@ def _worker_main(spec: _WorkerSpec) -> None:
             "node": spec.node,
             "spans": spans,
             "kernel_retries": retries[0],
+            "dp": {name: runner.record() for name, runner in chunked.items()},
         })
         exitcode = 0
     link.stop()
@@ -644,6 +798,7 @@ class ProcessRuntime:
                and _time.monotonic() < wait_until):
             _time.sleep(0.005)
         done = dict(broker.done_payloads)
+        shm_fallback = broker.shm_fallback
         stats = broker.stats()
         gc_collected, high_water = broker.gc_totals()
         broker_ops = dict(broker.op_counts)
@@ -675,6 +830,17 @@ class ProcessRuntime:
                                                               proc_idx))
         spans.sort(key=lambda s: (s.start, s.proc))
 
+        dp_executed = self._dp_executed(done)
+        fallbacks = [
+            record_fallback("dp", detail, self.obs)
+            for detail in self._dp_fallbacks(dp_executed)
+        ]
+        if shm_fallback is not None:
+            # Counted process-wide once, when the calibration fell back.
+            fallbacks.append({"site": "shm_calibration", "detail": shm_fallback})
+            if self.obs is not None:
+                self.obs.on_fallback("shm_calibration", shm_fallback)
+
         completion = completion_times(completion_raw)
         if self.obs is not None:
             for ts in sorted(completion):
@@ -694,12 +860,64 @@ class ProcessRuntime:
                 "nodes": nodes,
                 "assignment": dict(self.assignment),
                 "dp_plan": {k: v[:2] for k, v in self.dp_plan.items()},
+                "dp_executed": dp_executed,
+                "fallbacks": fallbacks,
                 "gc_collected": gc_collected,
                 "live_item_high_water": high_water,
                 "broker_ops": broker_ops,
                 "broker_roundtrips": broker_roundtrips,
             },
         )
+
+    # -- what ran -----------------------------------------------------------
+
+    @staticmethod
+    def _dp_executed(done: dict[int, dict]) -> dict[str, dict]:
+        """Merge the workers' dp records, oldest worker incarnation first.
+
+        Per planned dp task: ``chunks``, the chunks run per frame as
+        ``(first_ts, last_ts, n_chunks)`` runs, the PIDs chunks ran in,
+        the helper and node-worker PIDs, and the latest worker's fan-out
+        ``decision`` (its measured ``serial_s`` and ``roundtrip_s``;
+        ``None`` when it never decided).
+        """
+        executed: dict[str, dict] = {}
+        for wid in sorted(done):
+            for name, rec in done[wid].get("dp", {}).items():
+                entry = executed.setdefault(name, {
+                    "planned": rec["planned"], "chunks": {}, "chunk_pids": [],
+                    "helper_pids": [], "worker_pids": [], "decision": None,
+                })
+                # A respawned worker re-runs the frame its predecessor died in.
+                entry["chunks"].update(rec["chunks"])
+                entry["chunk_pids"] += [pid for pid in rec["chunk_pids"]
+                                        if pid not in entry["chunk_pids"]]
+                entry["helper_pids"] += rec["helper_pids"]
+                entry["worker_pids"].append(rec["worker_pid"])
+                entry["decision"] = rec["decision"]
+        for entry in executed.values():
+            entry["chunks"] = _frame_runs(entry["chunks"])
+        return executed
+
+    def _dp_fallbacks(self, executed: dict[str, dict]) -> list[str]:
+        """Why each planned dp task that never fanned out ran serially."""
+        details = []
+        for name, entry in sorted(executed.items()):
+            if any(n > 1 for _first, _last, n in entry["chunks"]):
+                continue
+            width, decision = entry["planned"], entry["decision"]
+            if self.graph.task(name).compute_chunk is None:
+                why = "the task has no chunk kernel"
+            elif decision is None:
+                why = "no broker round trip was measured before the run ended"
+            elif decision["fan_out"]:
+                why = "the run ended before its first chunked frame"
+            else:
+                why = (f"splitting its {decision['serial_s'] * 1e3:.3f} ms serial "
+                       f"kernel would save less than one IPC round trip "
+                       f"({decision['roundtrip_s'] * 1e3:.3f} ms)")
+            details.append(f"{name} planned as dp{width} ran serially: {why}")
+        return details
 
     # -- recovery helpers ---------------------------------------------------
 

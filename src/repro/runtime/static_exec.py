@@ -422,6 +422,8 @@ class StaticExecutor:
                 "kernel_retries": res.kernel_retries,
                 "nodes": res.meta["nodes"],
                 "dp_plan": res.meta["dp_plan"],
+                "dp_executed": res.meta["dp_executed"],
+                "fallbacks": res.meta["fallbacks"],
                 "broker_ops": res.meta["broker_ops"],
                 "broker_roundtrips": res.meta["broker_roundtrips"],
             }

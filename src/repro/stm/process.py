@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.errors import ItemConsumed, ItemUnavailable, STMError
+from repro.fallbacks import record_fallback
 from repro.stm.channel import STMChannel, Timestamp
 from repro.stm.connection import Connection
 from repro.stm.gc import GCStats
@@ -66,6 +67,7 @@ __all__ = [
     "calibrate_shm_threshold",
     "decode_value",
     "resolve_shm_threshold",
+    "shm_threshold_fallback",
 ]
 
 #: Fallback pickle/shm crossover when calibration is unavailable.  The
@@ -77,11 +79,16 @@ SHM_THRESHOLD_BYTES = 4096
 
 #: Cached calibration result (module global so forked workers inherit it).
 _ACTIVE_SHM_THRESHOLD: Optional[int] = None
+#: Why the cached result is the default rather than a measurement.
+_SHM_FALLBACK: Optional[str] = None
+
+
+#: Candidate crossover sizes the calibration sweeps, in bytes.
+_CALIBRATION_SIZES = (1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10, 64 << 10)
 
 
 def calibrate_shm_threshold(
-    sizes: tuple[int, ...] = (1 << 10, 2 << 10, 4 << 10, 8 << 10,
-                              16 << 10, 64 << 10),
+    sizes: tuple[int, ...] = _CALIBRATION_SIZES,
     repeats: int = 3,
 ) -> int:
     """Measure the pickle/shared-memory crossover point on this host.
@@ -94,8 +101,15 @@ def calibrate_shm_threshold(
     to ``[1 KiB, 1 MiB]``; returns :data:`SHM_THRESHOLD_BYTES` when shm
     never wins in the sweep or shared memory is unavailable.
     """
+    return _calibrate(sizes, repeats)[0]
+
+
+def _calibrate(sizes: tuple[int, ...] = _CALIBRATION_SIZES,
+               repeats: int = 3) -> tuple[int, Optional[str]]:
+    """``(threshold, why it is the default)``; the reason is ``None``
+    when the threshold was measured."""
     if _shm is None:  # pragma: no cover - platforms without shm
-        return SHM_THRESHOLD_BYTES
+        return SHM_THRESHOLD_BYTES, "shared memory is unavailable"
     import numpy as np
 
     seg = _shm.SharedMemory(create=True, size=max(sizes))
@@ -122,8 +136,10 @@ def calibrate_shm_threshold(
 
             t_shm = min(_timed(_shm_roundtrip) for _ in range(repeats))
             if t_shm < t_pickle:
-                return max(1 << 10, min(size, 1 << 20))
-        return SHM_THRESHOLD_BYTES
+                return max(1 << 10, min(size, 1 << 20)), None
+        return SHM_THRESHOLD_BYTES, (
+            f"shared memory never beat pickle up to {max(sizes)} B"
+        )
     finally:
         seg.close()
         seg.unlink()
@@ -135,6 +151,16 @@ def _timed(fn) -> float:
     return _time.perf_counter() - t0
 
 
+def _pinned_shm_threshold() -> Optional[int]:
+    env = os.environ.get("REPRO_SHM_THRESHOLD")
+    if env is not None:
+        try:
+            return max(1, int(env))
+        except ValueError:
+            pass
+    return None
+
+
 def resolve_shm_threshold(force_calibrate: bool = False) -> int:
     """The active pickle/shm crossover in bytes.
 
@@ -143,21 +169,32 @@ def resolve_shm_threshold(force_calibrate: bool = False) -> int:
     :func:`calibrate_shm_threshold` measurement, then the
     :data:`SHM_THRESHOLD_BYTES` default.  :class:`ChannelBroker` resolves
     this once at construction — before any worker forks — so the whole
-    worker fleet inherits one consistent threshold.
+    worker fleet inherits one consistent threshold.  Landing on the
+    default is recorded as a ``site="shm_calibration"`` fallback (once per
+    calibration, :mod:`repro.fallbacks`) and reported by
+    :func:`shm_threshold_fallback`.
     """
-    global _ACTIVE_SHM_THRESHOLD
-    env = os.environ.get("REPRO_SHM_THRESHOLD")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
+    global _ACTIVE_SHM_THRESHOLD, _SHM_FALLBACK
+    pinned = _pinned_shm_threshold()
+    if pinned is not None:
+        return pinned
     if _ACTIVE_SHM_THRESHOLD is None or force_calibrate:
         try:
-            _ACTIVE_SHM_THRESHOLD = calibrate_shm_threshold()
-        except Exception:  # pragma: no cover - calibration is best-effort
+            _ACTIVE_SHM_THRESHOLD, _SHM_FALLBACK = _calibrate()
+        except Exception as exc:  # calibration is best-effort
             _ACTIVE_SHM_THRESHOLD = SHM_THRESHOLD_BYTES
+            _SHM_FALLBACK = f"calibration raised {type(exc).__name__}: {exc}"
+        if _SHM_FALLBACK is not None:
+            record_fallback("shm_calibration", _SHM_FALLBACK)
     return _ACTIVE_SHM_THRESHOLD
+
+
+def shm_threshold_fallback() -> Optional[str]:
+    """Why the active threshold is the default, or ``None`` when it is
+    measured or pinned by ``REPRO_SHM_THRESHOLD``."""
+    if _pinned_shm_threshold() is not None or _ACTIVE_SHM_THRESHOLD is None:
+        return None
+    return _SHM_FALLBACK
 
 
 class BrokerDied(STMError):
@@ -299,7 +336,8 @@ def decode_value(encoded) -> Any:
 #                    gets: ((channel, conn, ts),...) applied as they
 #                    become possible, each exactly once.
 #   step "ok" data:  (get results aligned with the request,
-#                     ((channel, conn, freed_timestamps),...) ring feed)
+#                     ((channel, conn, freed_timestamps),...) ring feed,
+#                     seconds the broker held the step)
 
 _STOP = ("-stop-", -1, "stop", ())
 
@@ -322,6 +360,7 @@ class _StepWaiter:
     gets: list
     replay: bool = False
     consumed: bool = False
+    arrived: float = 0.0
 
     def channels(self) -> set[str]:
         names = {c[0] for c in self.consumes}
@@ -375,6 +414,7 @@ class ChannelBroker:
         # children inherit the calibrated module global, so the whole
         # fleet encodes with one consistent threshold.
         self.shm_threshold = resolve_shm_threshold()
+        self.shm_fallback = shm_threshold_fallback()
         self.requests = _mp_context().Queue()
         self._replies: dict[int, Any] = {}
         self.channels: dict[str, _BrokerChannel] = {
@@ -589,7 +629,7 @@ class ChannelBroker:
                 consumes=tuple(consumes),
                 puts=[list(p) + [False] for p in puts],
                 gets=[list(g) + [None] for g in gets],
-                replay=replay,
+                replay=replay, arrived=_time.perf_counter(),
             )
             completed, _ = self._try_step(st)
             if not completed:
@@ -699,7 +739,8 @@ class ChannelBroker:
                 if timestamps:
                     freed.append((entry[0], entry[1], timestamps))
             self._reply(st.worker, st.seq, "ok",
-                        (tuple(e[3] for e in st.gets), tuple(freed)))
+                        (tuple(e[3] for e in st.gets), tuple(freed),
+                         _time.perf_counter() - st.arrived))
             return True, True
         return False, progressed
 
@@ -815,6 +856,11 @@ class WorkerLink:
         self._lock = threading.Lock()
         self._receiver: Optional[threading.Thread] = None
         self._stopped = False
+        #: The fastest step round trip seen so far, in seconds, without
+        #: the time the broker held the step waiting for data or
+        #: capacity: this worker's measured cost of one IPC round trip
+        #: (``None`` until a step completes).
+        self.roundtrip: Optional[float] = None
 
     def start(self) -> None:
         self._receiver = threading.Thread(target=self._recv_loop,
@@ -924,14 +970,19 @@ class StepBatch:
         """Ship the batch; returns decoded get results in queue order."""
         if not (self._consumes or self._puts or self._gets):
             return []
-        status, data = self._link.call(
+        link = self._link
+        t0 = _time.perf_counter()
+        status, data = link.call(
             "step",
             (tuple(self._consumes), tuple(self._puts), tuple(self._gets),
              timeout, self._replay),
             timeout,
         )
         if status == "ok":
-            results, freed = data
+            results, freed, held = data
+            ipc = _time.perf_counter() - t0 - held
+            if link.roundtrip is None or ipc < link.roundtrip:
+                link.roundtrip = ipc
             for channel, conn_id, timestamps in freed:
                 chan = self._rings.get((channel, conn_id))
                 if chan is not None:

@@ -87,6 +87,31 @@ def runs(request):
     return request.param, {sub: run_on(sub, make) for sub in SUBSTRATES}
 
 
+def assert_dp_executed(result, task: str, frames: int) -> dict:
+    """The process run reports what ran for its dp2 ``task``, and what
+    ran follows the measured decision: frame 0 runs the serial kernel
+    and times it; every later frame is split in two processes iff half
+    that time beats the worker's IPC round trip, and a task that never
+    split is a counted fallback."""
+    meta = result.meta
+    assert meta["dp_plan"][task] == (2, "dp2")
+    ran = meta["dp_executed"][task]
+    decision = ran["decision"]
+    fan_out = decision["serial_s"] / 2 > decision["roundtrip_s"]
+    assert decision["fan_out"] == fan_out
+    per_frame = {ts: n for first, last, n in ran["chunks"]
+                 for ts in range(first, last + 1)}
+    assert per_frame == {ts: 1 if ts == 0 else 1 + fan_out for ts in range(frames)}
+    assert len(set(ran["chunk_pids"])) == (2 if fan_out else 0)
+    dp_fallbacks = [f["detail"] for f in meta["fallbacks"] if f["site"] == "dp"]
+    assert len(dp_fallbacks) == (0 if fan_out else 1)
+    for detail in dp_fallbacks:
+        assert detail.startswith(f"{task} planned as dp2 ran serially")
+        for seconds in (decision["serial_s"], decision["roundtrip_s"]):
+            assert f"{seconds * 1e3:.3f} ms" in detail
+    return ran
+
+
 def streaming_channels(result):
     g = result.graph
     return [
@@ -168,7 +193,7 @@ class TestLatencyInvariants:
         which, results = runs
         if which != "dp":
             pytest.skip("serial schedule has no dp placement")
-        assert results["process"].meta["dp_plan"]["T4"] == (2, "dp2")
+        assert_dp_executed(results["process"], "T4", N_FRAMES)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +312,21 @@ class TestWorkloadConformance:
         family, kind, results = wl_runs
         if kind != "dp":
             pytest.skip("serial schedule has no dp placement")
-        dp_task = get_family(family).dp_task
-        assert results["process"].meta["dp_plan"][dp_task] == (2, "dp2")
+        assert_dp_executed(results["process"], get_family(family).dp_task,
+                           WL_FRAMES)
+
+    def test_microsecond_dp_kernel_runs_serial(self, wl_runs):
+        """webinfer's ``infer`` kernel takes microseconds, less than any
+        broker round trip: the process run keeps it serial, forks no
+        helper, and reports the measured reason."""
+        family, kind, results = wl_runs
+        if (family, kind) != ("webinfer", "dp"):
+            pytest.skip("only webinfer's dp schedule plans a microsecond kernel")
+        ran = assert_dp_executed(results["process"], "infer", WL_FRAMES)
+        decision = ran["decision"]
+        assert not decision["fan_out"]
+        assert decision["serial_s"] < 1e-3 and decision["roundtrip_s"] > 0
+        assert ran["helper_pids"] == [] and ran["chunk_pids"] == []
 
     def test_gc_reclaims_equally(self, wl_runs):
         _, _, results = wl_runs
